@@ -19,8 +19,17 @@ import sys
 
 from .checks import run_all_checks
 from .datatype import get_datatype, replay
+from .reconcile import get_reconciler
 from .scenarios import BUILTIN
 from .sim import ConfigError, Scenario, Trace, run
+
+
+def _check_name(lookup, name):
+    """Turn an unknown registry name into a usage error."""
+    try:
+        lookup(name)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
 
 
 def _load_scenario(spec: str, seed, recon) -> Scenario:
@@ -32,6 +41,8 @@ def _load_scenario(spec: str, seed, recon) -> Scenario:
         scenario.seed = seed
     if recon:
         scenario.recon = recon
+    _check_name(get_reconciler, scenario.recon)
+    _check_name(get_datatype, scenario.datatype)
     return scenario
 
 
@@ -63,6 +74,7 @@ def _cmd_run(args):
 
 def _cmd_check(args):
     trace = Trace.from_jsonl(args.trace)
+    _check_name(get_reconciler, trace.meta["scenario"]["recon"])
     verdicts = run_all_checks(trace, window=args.window)
     _write_report(args.report_out, trace.meta["scenario"], verdicts)
     return _print_verdicts(verdicts)
@@ -149,7 +161,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, OSError, KeyError) as exc:
+    except (ConfigError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

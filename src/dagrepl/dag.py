@@ -12,7 +12,10 @@ touches the old one.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, NamedTuple
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class DagError(Exception):
@@ -145,7 +148,11 @@ class CommandDag:
 
     def expand_mask(self, mask: int):
         """Commands whose bits are set, in insertion-index order."""
-        return [c for i, c in enumerate(self._order) if (mask >> i) & 1]
+        # bin() lists the bits most significant first; reversed and mapped
+        # to 0/1 bytes they select from the insertion order without a
+        # Python-level loop, which matters for sparse and dense masks alike.
+        flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+        return list(compress(self._order, flags))
 
     def past(self, v):
         """v plus every vertex with a path to v; EPSILON is excluded."""

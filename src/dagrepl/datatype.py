@@ -34,14 +34,20 @@ class DataTypeSpec:
         return self.step(state, op)
 
 
-def replay(spec: DataTypeSpec, history):
+_INITIAL = object()
+
+
+def replay(spec: DataTypeSpec, history, state=_INITIAL):
     """Fold the data type's step over a history of commands.
 
+    Starts from `state`, the data type's initial state by default, so a
+    caller holding the state after some prefix can replay just the rest.
     Returns the final state and the response of every command, positionally
     aligned with the history.  Elements may be Commands (their `.op` is
     used) or bare operation tuples.
     """
-    state = spec.initial_state
+    if state is _INITIAL:
+        state = spec.initial_state
     responses = []
     for item in history:
         op = item.op if hasattr(item, "op") else item

@@ -12,6 +12,12 @@ commands (RF-Totality).  Three instances:
             order.  Yields a stable prefix that is additionally fair.
 * f_lifo -- newest-first by local insertion order.  Deliberately unstable;
             negative baseline only.
+
+A reconciler that is a plain sort exposes its sort key as a `key`
+attribute, `key(dag, c)`, whose value never changes once `c` is in the DAG.
+Its history then only ever gains vertices at `bisect` positions, which is
+what lets a replica maintain it incrementally.  The attribute survives
+`functools.wraps`, so a wrapped reconciler keeps it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,13 @@ def f_bfs(dag: CommandDag):
     """
     return sorted(dag.commands(),
                   key=lambda c: (dag.dist(c), c.issuer, c.seq))
+
+
+def _level_key(dag: CommandDag, c):
+    return (dag.dist(c), c.issuer, c.seq)
+
+
+f_bfs.key = _level_key
 
 
 def f_fair(dag: CommandDag):

@@ -6,20 +6,41 @@ enabledness check, vertex creation and history update touch only local
 state; dissemination is handed to the broadcast layer.  Delivered vertices
 whose parents have not arrived yet are parked until they have.
 
-The history is recomputed lazily (cached, invalidated on any DAG change);
-this is observationally identical to recomputing after every handler since
-nothing reads the history in between.
+History and data-type states are maintained incrementally.  Under a
+reconciler that exposes a sort `key` (f_bfs), each new vertex is placed by
+bisection on its immutable key.  Under any other reconciler the history is
+recomputed lazily on the next read and compared with the previous one.
+Either way only the first changed position matters: data-type states are
+cached every `_STRIDE` positions plus at the furthest position replayed,
+and a replay resumes from the nearest cached state at or before that
+position instead of from the initial state.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from collections import deque
 
 from .broadcast import BroadcastMessage
 from .dag import Command, CommandDag, EPSILON
 from .datatype import BOTTOM, DataTypeSpec, replay
 
+# Positions between cached data-type states.  One state per position makes
+# a long intlog run's memory quadratic in its length; a stride bounds the
+# replay after a change to this many steps plus the changed suffix.
+_STRIDE = 16
+
 
 class InvariantViolation(Exception):
     pass
+
+
+def _common_prefix(a, b):
+    n = min(len(a), len(b))
+    for i in range(n):
+        if a[i] != b[i]:
+            return i
+    return n
 
 
 class Replica:
@@ -34,14 +55,23 @@ class Replica:
         self.pending = {}
         self._broadcast = broadcast if broadcast else (lambda msg: None)
         self._on_insert = on_insert
-        self._history = []
-        self._stale = False
         self._seen_seq = {}   # issuer -> highest inserted sequence number
+        self._key = getattr(recon, "key", None)
+        self._keys = []       # sort keys along the history, when _key is set
+        self._history = []    # never mutated once handed out
+        self._stale = False   # _history predates a DAG change (no _key)
+        # _states[i] is the state after the first i * _STRIDE commands;
+        # _tip the furthest (position, state) replayed.  Both always
+        # describe the current history.
+        self._states = [spec.initial_state]
+        self._tip = (0, spec.initial_state)
 
     @property
     def history(self):
         if self._stale:
-            self._history = list(self.recon(self.dag))
+            history = list(self.recon(self.dag))
+            self._changed_from(_common_prefix(self._history, history))
+            self._history = history
             self._stale = False
         return self._history
 
@@ -51,12 +81,13 @@ class Replica:
     def append(self, op):
         """Issue `op` locally; returns its response, or BOTTOM untouched.
 
-        The enabledness check replays the current history from scratch.
-        On success the new vertex hangs off the current leaves, the
-        history is refreshed, the vertex is broadcast, and the response is
-        the one the command has in the post-insertion history.
+        The enabledness check runs `op` on the state after the current
+        history.  On success the new vertex hangs off the current leaves,
+        the history is updated, the vertex is broadcast, and the response
+        is the one the command has in the post-insertion history.  Both
+        states are replayed from the nearest cached state.
         """
-        state, _ = replay(self.spec, self.history)
+        state, _ = self._replay_to(len(self.history))
         _, resp = self.spec.apply(state, op)
         if resp == BOTTOM:
             return BOTTOM
@@ -65,9 +96,8 @@ class Replica:
         self.next_seq += 1
         self._insert(v, parents)
         self._broadcast(BroadcastMessage(v, frozenset(parents)))
-        hist = self.history
-        pos = hist.index(v)
-        _, responses = replay(self.spec, hist[:pos + 1])
+        pos = self.history.index(v)
+        _, responses = self._replay_to(pos + 1)
         return responses[-1]
 
     def on_deliver(self, msg: BroadcastMessage):
@@ -80,9 +110,9 @@ class Replica:
         if missing is not None:
             self.pending.setdefault(missing, []).append(msg)
             return
-        queue = [msg]
+        queue = deque([msg])
         while queue:
-            m = queue.pop(0)
+            m = queue.popleft()
             self._insert(m.vertex, m.parents)
             for parked in self.pending.pop(m.vertex, []):
                 still_missing = self._missing_parent(parked.parents)
@@ -105,6 +135,38 @@ class Replica:
                 % (self.id, v, last))
         self._seen_seq[v.issuer] = v.seq
         self.dag = self.dag.insert(v, parents)
-        self._stale = True
+        if self._key is None:
+            self._stale = True
+        else:
+            key = self._key(self.dag, v)
+            pos = bisect_right(self._keys, key)
+            self._keys.insert(pos, key)
+            self._history = self._history[:pos] + [v] + self._history[pos:]
+            self._changed_from(pos)
         if self._on_insert:
             self._on_insert(v, parents)
+
+    def _changed_from(self, pos):
+        """Drop the cached states past `pos`, where the history changed."""
+        del self._states[pos // _STRIDE + 1:]
+        if self._tip[0] > pos:
+            self._tip = ((len(self._states) - 1) * _STRIDE, self._states[-1])
+
+    def _replay_to(self, pos):
+        """State after the first `pos` history commands, and the responses
+        of the commands replayed from the nearest cached state to get it."""
+        k, state = self._tip
+        if pos < k:
+            k = pos - pos % _STRIDE
+            state = self._states[k // _STRIDE]
+        responses = []
+        while k < pos:
+            end = min(pos, k - k % _STRIDE + _STRIDE)
+            state, done = replay(self.spec, self._history[k:end], state)
+            responses += done
+            k = end
+            if k == len(self._states) * _STRIDE:
+                self._states.append(state)
+        if k >= self._tip[0]:
+            self._tip = (k, state)
+        return state, responses

@@ -120,6 +120,9 @@ class Scenario:
 
 
 TRACE_SCHEMA = 1
+# meta fields the checkers read, as key paths
+_META_FIELDS = (("scenario", "n"), ("scenario", "recon"), ("quiescent",),
+                ("crashed",))
 
 
 class Trace:
@@ -135,10 +138,26 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, path):
+        lines = []
         with open(path) as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        if not lines or "schema" not in lines[0]:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    lines.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ConfigError("%s: line %d is not JSON (%s)"
+                                      % (path, number, exc)) from None
+        if not lines or not isinstance(lines[0], dict) \
+                or "schema" not in lines[0]:
             raise ConfigError("not a trace file: %s" % path)
+        for field in _META_FIELDS:
+            node = lines[0]
+            for key in field:
+                if not isinstance(node, dict) or key not in node:
+                    raise ConfigError("%s: meta line lacks %s"
+                                      % (path, ".".join(field)))
+                node = node[key]
         return cls(lines[0], lines[1:])
 
 

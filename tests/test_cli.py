@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from dagrepl import cli
 from dagrepl.cli import main
 from dagrepl.scenarios import random_scenario
 
@@ -86,3 +89,62 @@ def test_unknown_builtin_is_usage_error(capsys):
 def test_bad_args_exit_code(capsys):
     assert main(["run"]) == 2
     capsys.readouterr()
+
+
+def _fig1_trace(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    assert main(["run", "--scenario", "fig1", "--trace-out", str(path)]) == 0
+    return path
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+
+
+def _drop_crashed(path):
+    lines = path.read_text().splitlines()
+    meta = json.loads(lines[0])
+    del meta["crashed"]
+    path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+
+
+def _bogus_recon(path):
+    lines = path.read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta["scenario"]["recon"] = "bogus"
+    path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _drop_crashed, _bogus_recon])
+def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
+    path = _fig1_trace(tmp_path)
+    spoil(path)
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unknown_recon_is_usage_error(capsys):
+    assert main(["run", "--scenario", "random", "--recon", "bogus"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unknown_datatype_is_usage_error(capsys, tmp_path):
+    scenario = random_scenario(8, "bfs")
+    scenario.datatype = "bogus"
+    path = tmp_path / "sc.json"
+    scenario.save(path)
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_internal_key_error_propagates(capsys, tmp_path, monkeypatch):
+    path = _fig1_trace(tmp_path)
+
+    def broken(trace, window=10):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "run_all_checks", broken)
+    with pytest.raises(KeyError):
+        main(["check", "--trace", str(path)])

@@ -160,6 +160,20 @@ def test_past_independent_of_insertion_interleaving():
             assert other.dist(v) == dag.dist(v)
 
 
+def test_expand_mask_matches_per_bit_scan():
+    rng = random.Random(23)
+    for size in (0, 1, 7, 64, 65, 300):
+        dag = CommandDag()
+        for k in range(size):
+            dag = dag.insert(cmd(1, k + 1), dag.leaves())
+        order = dag.commands()
+        for density in (0.0, 0.04, 0.5, 1.0):
+            mask = sum(1 << i for i in range(size) if rng.random() < density)
+            expected = [c for i, c in enumerate(order) if (mask >> i) & 1]
+            assert dag.expand_mask(mask) == expected
+        assert dag.expand_mask(dag.all_mask()) == list(order)
+
+
 def test_fixture_roundtrip(fig1_dag):
     text = format_dag(fig1_dag)
     again = parse_dag(text)

@@ -138,10 +138,12 @@ def test_replay_prefix_consistency():
                         rng.choice("ab")))
         else:
             ops.append(("rmdir", rng.choice(["/a", "/b", "/a/a"])))
-    _, full = replay(NFS, ops)
+    final, full = replay(NFS, ops)
     for cut in range(len(ops) + 1):
-        _, part = replay(NFS, ops[:cut])
+        state, part = replay(NFS, ops[:cut])
         assert part == full[:cut]
+        # resuming from the prefix's state gives the rest of the replay
+        assert replay(NFS, ops[cut:], state) == (final, full[cut:])
 
 
 def test_registry():

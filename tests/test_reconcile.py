@@ -75,6 +75,9 @@ def test_bfs_matches_level_oracle_random():
     for _ in range(100):
         dag = random_protocol_dag(rng, 25, 4)
         assert f_bfs(dag) == oracle_f_bfs(dag)
+        # the exposed key is the one f_bfs sorts by
+        assert f_bfs(dag) == sorted(dag.commands(),
+                                    key=lambda c: f_bfs.key(dag, c))
 
 
 def test_fair_matches_interpreter_oracle_random():

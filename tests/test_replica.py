@@ -1,12 +1,14 @@
+import functools
 import random
 
 import pytest
 
+from dagrepl import replica as replica_mod
 from dagrepl.broadcast import BroadcastMessage
 from dagrepl.dag import Command, EPSILON
-from dagrepl.datatype import BOTTOM, INTLOG, NFS, OK
+from dagrepl.datatype import BOTTOM, INTLOG, NFS, OK, replay
 from dagrepl.replica import InvariantViolation, Replica
-from dagrepl.reconcile import f_bfs, f_fair
+from dagrepl.reconcile import f_bfs, f_fair, f_lifo
 
 from oracles import random_protocol_dag
 
@@ -126,3 +128,83 @@ def test_history_matches_recon_after_random_deliveries():
             r.on_deliver(BroadcastMessage(v, frozenset(dag.parents_of(v))))
         assert r.history == f_fair(r.dag)
         assert len(r.dag) == len(dag)
+
+
+def _random_op(rng, spec, k):
+    if spec is INTLOG:
+        return ("push", k)
+    dirs = ["/a", "/b", "/a/c"]
+    if rng.random() < 0.5:
+        return ("rmdir", rng.choice(dirs))
+    path = rng.choice(["/", "/a"])
+    return ("mkdir", path, rng.choice(["a", "b", "c"]))
+
+
+@pytest.mark.parametrize("recon", [f_bfs, f_fair, f_lifo],
+                         ids=["bfs", "fair", "lifo"])
+@pytest.mark.parametrize("spec", [INTLOG, NFS], ids=["intlog", "nfs"])
+def test_incremental_history_matches_from_scratch(recon, spec):
+    # Three replicas; messages reach each one in random order, so vertices
+    # get parked and the cached states are invalidated at random positions.
+    rng = random.Random(recon.__name__ + spec.name)
+    inbox = {rid: [] for rid in (1, 2, 3)}
+
+    def broadcaster(src):
+        def send(msg):
+            for dst in inbox:
+                if dst != src:
+                    inbox[dst].append(msg)
+        return send
+
+    reps = {rid: Replica(rid, spec, recon, broadcast=broadcaster(rid))
+            for rid in inbox}
+    held = []   # (list object read from .history, copy of its contents)
+    appended = 0
+    while appended < 100 or any(inbox.values()):
+        if appended < 100:
+            rid = rng.choice(list(reps))
+        else:
+            rid = rng.choice([j for j in inbox if inbox[j]])
+        r = reps[rid]
+        if appended < 100 and (not inbox[rid] or rng.random() < 0.4):
+            op = _random_op(rng, spec, appended)
+            before = list(r.history)
+            resp = r.append(op)
+            if resp == BOTTOM and r.history == before:
+                state, _ = replay(spec, before)
+                assert spec.apply(state, op)[1] == BOTTOM
+            else:
+                appended += 1
+                v = Command(op, rid, r.next_seq - 1)
+                pos = r.history.index(v)
+                _, expected = replay(spec, r.history[:pos + 1])
+                assert resp == expected[-1]
+        else:
+            msg = inbox[rid].pop(rng.randrange(len(inbox[rid])))
+            r.on_deliver(msg)
+        assert r.history == recon(r.dag)
+        if rng.random() < 0.1:
+            held.append((r.history, list(r.history)))
+    for r in reps.values():
+        assert r.pending == {}
+        assert len(r.history) > 2 * replica_mod._STRIDE
+    for hist, contents in held:
+        assert hist == contents
+
+
+def test_key_reconciler_is_never_rerun():
+    # A wrapped f_bfs keeps its key attribute, and with it the bisect path.
+    calls = []
+
+    @functools.wraps(f_bfs)
+    def counted(dag):
+        calls.append(1)
+        return f_bfs(dag)
+
+    r = Replica(2, INTLOG, counted)
+    a = Command(("push", 1), 1, 1)
+    r.on_deliver(BroadcastMessage(a, frozenset({EPSILON})))
+    for k in range(5):
+        r.append(("push", k))
+    assert r.history == f_bfs(r.dag)
+    assert calls == []
