@@ -9,8 +9,7 @@ checkers verify those properties mechanically.
 
 from .broadcast import BroadcastMessage, Envelope, ReliableBroadcast
 from .dag import (Command, CommandDag, EPSILON, DagError, DuplicateVertex,
-                  MissingParent, UnknownVertex, dist, insert_vertex, leaves,
-                  past, topo_sort)
+                  MissingParent, UnknownVertex, topo_sort)
 from .datatype import (BOTTOM, DATATYPES, INTLOG, NFS, OK, DataTypeSpec,
                        get_datatype, replay)
 from .reconcile import RECONCILERS, f_bfs, f_fair, f_lifo, get_reconciler
@@ -22,7 +21,6 @@ __all__ = [
     "DATATYPES", "DagError", "DataTypeSpec", "DuplicateVertex", "EPSILON",
     "Envelope", "INTLOG", "InvariantViolation", "MissingParent", "NFS",
     "OK", "Partition", "RECONCILERS", "ReliableBroadcast", "Replica",
-    "Scenario", "Trace", "UnknownVertex", "dist", "f_bfs", "f_fair",
-    "f_lifo", "get_datatype", "get_reconciler", "insert_vertex", "leaves",
-    "past", "replay", "run", "topo_sort",
+    "Scenario", "Trace", "UnknownVertex", "f_bfs", "f_fair", "f_lifo",
+    "get_datatype", "get_reconciler", "replay", "run", "topo_sort",
 ]

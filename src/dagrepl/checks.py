@@ -1,7 +1,8 @@
 """Trace checkers: convergence, stability, fairness and safety.
 
 All checkers consume a Trace produced by `dagrepl.sim.run` (or reloaded
-from a trace file) and return verdict objects; they never mutate the
+from a trace file), or the one-pass digest of it that `run_all_checks`
+shares between them, and return verdict objects; they never mutate the
 trace.  Histories and vertices are identified by (issuer, seq) pairs.
 
 Stability is finite-trace approximated: a prefix of length L counts as
@@ -13,11 +14,13 @@ checkers may miss revocations but never invent them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .dag import Command, CommandDag, EPSILON
+from .dag import Command, CommandDag, DagError, EPSILON
 from .reconcile import get_reconciler
+from .sim import ConfigError
 
 
 def _lcp(a, b):
@@ -69,32 +72,15 @@ class _Digest:
             elif kind == "send":
                 self.sends[tuple(ev["uid"])] += 1
 
-    def rebuild_dags(self):
-        """Replay insert events into real CommandDags, one per replica.
 
-        Yields (rid, t, dag-after-insert, vertex) in trace order, merged
-        across replicas.
-        """
-        merged = []
-        for rid, ins in self.inserts.items():
-            for t, uid, parents in ins:
-                merged.append((t, rid, uid, parents))
-        merged.sort()
-        dags = {rid: CommandDag() for rid in self.inserts}
-        cmds = {}
-        for t, rid, uid, parents in merged:
-            v = cmds.get(uid)
-            if v is None:
-                v = Command(self.ops.get(uid, ("?",)), uid[0], uid[1])
-                cmds[uid] = v
-            ps = {cmds[p] for p in parents} or {EPSILON}
-            dags[rid] = dags[rid].insert(v, ps)
-            yield rid, t, dags[rid], v
+def _digest(trace):
+    """`trace` itself when it is already a digest, else its digest."""
+    return trace if isinstance(trace, _Digest) else _Digest(trace)
 
 
 def check_convergence(trace):
     """All correct replicas ended with the same history sequence."""
-    d = _Digest(trace)
+    d = _digest(trace)
     finals = {}
     for rid in d.correct:
         snaps = d.snapshots.get(rid, [])
@@ -121,7 +107,7 @@ class StabilityReport:
 
 
 def stable_prefix(trace) -> StabilityReport:
-    d = _Digest(trace)
+    d = _digest(trace)
     merged = []
     for rid in d.correct:
         for t, h in d.snapshots.get(rid, []):
@@ -196,7 +182,7 @@ def fairness_report(trace, report: StabilityReport, window: int = 10):
     last `window` commands in the stabilized prefix all lost the basis
     they were issued against.
     """
-    d = _Digest(trace)
+    d = _digest(trace)
     stable = report.stable_history
     stable_set = set(stable)
     pos = {uid: i for i, uid in enumerate(stable)}
@@ -235,9 +221,9 @@ def _monotone(curve):
     return all(b[1] >= a[1] for a, b in zip(curve, curve[1:]))
 
 
-def check_stability(trace, min_fraction=0.0):
-    """Growing-stable-prefix verdict: monotone curve, threshold on length."""
-    report = stable_prefix(trace)
+def check_stability(report: StabilityReport, min_fraction=0.0):
+    """Growing-stable-prefix verdict from a stability report: monotone
+    curve, threshold on length."""
     total_issued = sum(report.issued.values())
     need = int(total_issued * min_fraction)
     ok = _monotone(report.curve) and report.final_len >= need
@@ -255,7 +241,7 @@ def check_safety(trace, sample: int = 1):
     sample-th snapshot (final snapshots always included); all other checks
     run on everything recorded.
     """
-    d = _Digest(trace)
+    d = _digest(trace)
     problems = defaultdict(list)
 
     # Validity: successful appends per issuer carry seqs 1,2,3,... and every
@@ -289,54 +275,10 @@ def check_safety(trace, sample: int = 1):
             prev = cur
         times = [t for t, _ in snaps]
         for t, uid, _, _ in d.appends.get(rid, []):
-            nxt = next((h for st, h in snaps if st >= t), None)
-            if nxt is None or uid not in nxt:
+            k = bisect_left(times, t)
+            if k == len(snaps) or uid not in snaps[k][1]:
                 problems["wait_freedom"].append(
                     "command %r missing from issuer snapshot" % (uid,))
-
-    # DAG invariants from the rebuilt per-replica DAGs.
-    first_past = {}
-    first_parents = {}
-    first_dist = {}
-    level_count = defaultdict(Counter)
-    dags = {}
-    for rid, t, dag, v in d.rebuild_dags():
-        dags[rid] = dag
-        uid = (v.issuer, v.seq)
-        pset = frozenset((c.issuer, c.seq) for c in dag.past(v))
-        parents = frozenset((p.issuer, p.seq) for p in dag.parents_of(v)
-                            if isinstance(p, Command))
-        dv = dag.dist(v)
-        if uid in first_past:
-            if first_past[uid] != pset:
-                problems["past_immutability"].append(
-                    "past of %r differs at replica %d" % (uid, rid))
-            if first_parents[uid] != parents:
-                problems["past_immutability"].append(
-                    "parents of %r differ at replica %d" % (uid, rid))
-            if first_dist[uid] != dv:
-                problems["dist_immutability"].append(
-                    "dist of %r differs at replica %d" % (uid, rid))
-        else:
-            first_past[uid] = pset
-            first_parents[uid] = parents
-            first_dist[uid] = dv
-        level_count[rid][dv] += 1
-        if level_count[rid][dv] > d.n:
-            problems["level_bound"].append(
-                "replica %d has %d vertices at distance %d"
-                % (rid, level_count[rid][dv], dv))
-
-    # Distances cached at insertion must equal a from-scratch recomputation
-    # on the final DAG (they were recorded incrementally above).
-    for rid, dag in dags.items():
-        for v in dag.commands():
-            fresh = 1 + max((0 if p is EPSILON else dag.dist(p))
-                            for p in dag.parents_of(v))
-            if fresh != first_dist[(v.issuer, v.seq)]:
-                problems["dist_immutability"].append(
-                    "cached dist of %r drifted at replica %d"
-                    % ((v.issuer, v.seq), rid))
 
     # Reliable broadcast properties.
     for rid in range(1, d.n + 1):
@@ -369,41 +311,82 @@ def check_safety(trace, sample: int = 1):
             problems["message_bound"].append(
                 "%d channel sends for %r" % (cnt, uid))
 
-    # History equals a from-scratch reconciliation of the replica's DAG at
-    # (sampled) snapshot points; also implies RF-Totality per snapshot.
+    # One pass over inserts and snapshots, in trace order, rebuilds every
+    # replica's DAG.  Each insert is checked against the DAG invariants.
+    # At (sampled) snapshot points the history must equal a from-scratch
+    # reconciliation of the DAG, which also implies RF-Totality per
+    # snapshot.
     recon = get_reconciler(d.recon_name)
-    snap_iter = {rid: list(d.snapshots.get(rid, []))
-                 for rid in range(1, d.n + 1)}
-    cursor = {rid: 0 for rid in snap_iter}
-    dags2 = {rid: CommandDag() for rid in range(1, d.n + 1)}
     merged = []
     for rid, ins in d.inserts.items():
         for t, uid, parents in ins:
             merged.append((t, 0, rid, uid, parents))
-    for rid, snaps in snap_iter.items():
+    for rid, snaps in d.snapshots.items():
         for i, (t, h) in enumerate(snaps):
             merged.append((t, 1, rid, i, h))
     merged.sort(key=lambda x: x[:2])
+    dags = {rid: CommandDag() for rid in range(1, d.n + 1)}
     cmds = {}
-    checked = {rid: 0 for rid in snap_iter}
-    for entry in merged:
-        t, tag, rid = entry[0], entry[1], entry[2]
-        if tag == 0:
-            _, _, _, uid, parents = entry
-            v = cmds.setdefault(
-                uid, Command(d.ops.get(uid, ("?",)), uid[0], uid[1]))
-            ps = {cmds[p] for p in parents} or {EPSILON}
-            dags2[rid] = dags2[rid].insert(v, ps)
-        else:
-            _, _, _, i, h = entry
-            checked[rid] += 1
-            is_last = i == len(snap_iter[rid]) - 1
-            if not is_last and checked[rid] % sample != 0:
+    first = {}                  # uid -> (past, parents, dist) where first seen
+    level_count = defaultdict(Counter)
+    for t, tag, rid, key, value in merged:
+        dag = dags.get(rid)
+        if dag is None:
+            raise ConfigError("replica %r at t=%d is not in 1..%d (%s)"
+                              % (rid, t, d.n, "history" if tag else
+                                 "insert of %r" % (key,)))
+        if tag == 1:
+            i, h = key, value
+            if i != len(d.snapshots[rid]) - 1 and (i + 1) % sample != 0:
                 continue
-            expect = tuple((c.issuer, c.seq) for c in recon(dags2[rid]))
+            expect = tuple((c.issuer, c.seq) for c in recon(dag))
             if expect != h:
                 problems["recon_equivalence"].append(
                     "replica %d snapshot at t=%d != recon(dag)" % (rid, t))
+            continue
+        uid, parent_uids = key, value
+        v = cmds.setdefault(
+            uid, Command(d.ops.get(uid, ("?",)), uid[0], uid[1]))
+        # A parent no replica has inserted stays a bare uid, which no DAG
+        # contains, so insert rejects it like a parent known elsewhere.
+        try:
+            dag.insert(v, {cmds.get(p, p) for p in parent_uids}
+                       or {EPSILON})
+        except DagError as exc:
+            raise ConfigError("replica %d cannot insert %r at t=%d: %s %s"
+                              % (rid, uid, t, type(exc).__name__, exc)
+                              ) from None
+        pset = frozenset((c.issuer, c.seq) for c in dag.past(v))
+        parents = frozenset((p.issuer, p.seq) for p in dag.parents_of(v)
+                            if isinstance(p, Command))
+        dv = dag.dist(v)
+        first_past, first_parents, first_dist = first.setdefault(
+            uid, (pset, parents, dv))
+        if first_past != pset:
+            problems["past_immutability"].append(
+                "past of %r differs at replica %d" % (uid, rid))
+        if first_parents != parents:
+            problems["past_immutability"].append(
+                "parents of %r differ at replica %d" % (uid, rid))
+        if first_dist != dv:
+            problems["dist_immutability"].append(
+                "dist of %r differs at replica %d" % (uid, rid))
+        level_count[rid][dv] += 1
+        if level_count[rid][dv] > d.n:
+            problems["level_bound"].append(
+                "replica %d has %d vertices at distance %d"
+                % (rid, level_count[rid][dv], dv))
+
+    # Distances cached at insertion must equal a from-scratch recomputation
+    # on the final DAG (they were recorded incrementally above).
+    for rid, dag in dags.items():
+        for v in dag.commands():
+            fresh = 1 + max((0 if p is EPSILON else dag.dist(p))
+                            for p in dag.parents_of(v))
+            if fresh != first[(v.issuer, v.seq)][2]:
+                problems["dist_immutability"].append(
+                    "cached dist of %r drifted at replica %d"
+                    % ((v.issuer, v.seq), rid))
 
     names = ["validity", "monotonicity", "wait_freedom",
              "past_immutability", "level_bound", "dist_immutability",
@@ -418,14 +401,19 @@ def check_safety(trace, sample: int = 1):
 
 def run_all_checks(trace, window: int = 10, min_fraction: float = 0.0,
                    sample: int = 1):
-    """Every checker on one trace; convergence only binds at quiescence."""
+    """Every checker on one trace; convergence only binds at quiescence.
+
+    The trace is digested once and its stability report computed once;
+    every checker reads those.
+    """
+    d = _Digest(trace)
+    report = stable_prefix(d)
     verdicts = {}
-    verdicts["safety"] = check_safety(trace, sample=sample)
-    verdicts["stability"] = check_stability(trace, min_fraction=min_fraction)
-    report = stable_prefix(trace)
-    verdicts["fairness"] = fairness_report(trace, report, window=window)
-    if trace.meta["quiescent"]:
-        verdicts["convergence"] = check_convergence(trace)
+    verdicts["safety"] = check_safety(d, sample=sample)
+    verdicts["stability"] = check_stability(report, min_fraction=min_fraction)
+    verdicts["fairness"] = fairness_report(d, report, window=window)
+    if d.quiescent:
+        verdicts["convergence"] = check_convergence(d)
     verdicts["ok"] = all(v["ok"] for v in verdicts.values()
                          if isinstance(v, dict))
     return verdicts

@@ -6,8 +6,8 @@ from the root and its causal past (as a bitmask over insertion indices);
 both are immutable once the vertex is inserted, because a vertex's parent
 set never changes.
 
-CommandDag is value-semantic: insert_vertex returns a new DAG and never
-touches the old one.
+CommandDag is append-only: insert adds one vertex in place, and nothing
+ever removes a vertex or changes one already inserted.
 """
 
 from __future__ import annotations
@@ -57,19 +57,16 @@ EPSILON = _Root()
 
 
 class CommandDag:
-    """Immutable command DAG with cached distances and causal pasts."""
+    """Append-only command DAG with cached distances and causal pasts."""
 
-    __slots__ = ("_parents", "_dist", "_index", "_past", "_order",
-                 "_childless")
+    __slots__ = ("_parents", "_dist", "_past", "_order", "_childless")
 
-    def __init__(self, parents=None, dist=None, index=None, past=None,
-                 order=(), childless=frozenset()):
-        self._parents = parents or {}    # Command -> frozenset of parents
-        self._dist = dist or {}          # Command -> int
-        self._index = index or {}        # Command -> bit position
-        self._past = past or {}          # Command -> bitmask incl. own bit
-        self._order = tuple(order)       # commands in insertion order
-        self._childless = childless      # commands with no outgoing edge
+    def __init__(self):
+        self._parents = {}        # Command -> frozenset of parents
+        self._dist = {}           # Command -> int
+        self._past = {}           # Command -> bitmask incl. own bit
+        self._order = []          # commands in insertion order
+        self._childless = set()   # commands with no outgoing edge
 
     def __len__(self):
         return len(self._order)
@@ -78,11 +75,8 @@ class CommandDag:
         return v is EPSILON or v in self._parents
 
     def commands(self):
-        """All commands, in local insertion order."""
-        return self._order
-
-    def insertion_order(self):
-        return self._order
+        """All commands, in local insertion order (a snapshot)."""
+        return tuple(self._order)
 
     def parents_of(self, v):
         try:
@@ -90,11 +84,12 @@ class CommandDag:
         except KeyError:
             raise UnknownVertex(repr(v)) from None
 
-    def insert(self, v: Command, parents: Iterable) -> "CommandDag":
-        """Return a new DAG with `v` added below `parents`.
+    def insert(self, v: Command, parents: Iterable) -> None:
+        """Add `v` below `parents`, in place.
 
         Parents may include EPSILON; when the DAG is empty the root stands
-        in as the only parent.
+        in as the only parent.  Every precondition is checked before
+        anything changes, so a rejected insert leaves the DAG as it was.
         """
         parents = frozenset(parents)
         if not parents:
@@ -104,23 +99,17 @@ class CommandDag:
         for p in parents:
             if p is not EPSILON and p not in self._parents:
                 raise MissingParent(repr(p))
-        new_parents = dict(self._parents)
-        new_parents[v] = parents
-        new_dist = dict(self._dist)
-        new_dist[v] = 1 + max(
+        self._parents[v] = parents
+        self._dist[v] = 1 + max(
             0 if p is EPSILON else self._dist[p] for p in parents)
-        bit = len(self._order)
-        new_index = dict(self._index)
-        new_index[v] = bit
-        mask = 1 << bit
+        mask = 1 << len(self._order)
         for p in parents:
             if p is not EPSILON:
                 mask |= self._past[p]
-        new_past = dict(self._past)
-        new_past[v] = mask
-        new_childless = (self._childless - parents) | {v}
-        return CommandDag(new_parents, new_dist, new_index, new_past,
-                          self._order + (v,), new_childless)
+        self._past[v] = mask
+        self._order.append(v)
+        self._childless -= parents
+        self._childless.add(v)
 
     def leaves(self):
         """Vertices with no outgoing edge; {EPSILON} on the empty DAG."""
@@ -157,26 +146,6 @@ class CommandDag:
     def past(self, v):
         """v plus every vertex with a path to v; EPSILON is excluded."""
         return set(self.expand_mask(self.past_mask(v)))
-
-
-def empty_dag() -> CommandDag:
-    return CommandDag()
-
-
-def insert_vertex(dag: CommandDag, v: Command, parents) -> CommandDag:
-    return dag.insert(v, parents)
-
-
-def leaves(dag: CommandDag):
-    return dag.leaves()
-
-
-def past(dag: CommandDag, v: Command):
-    return dag.past(v)
-
-
-def dist(dag: CommandDag, v) -> int:
-    return dag.dist(v)
 
 
 def topo_sort(dag: CommandDag, subset):
@@ -230,7 +199,7 @@ def parse_dag(text: str) -> CommandDag:
                 parents.add(by_key[(int(pj), int(ps))])
         v = Command(op, issuer, seq)
         by_key[(issuer, seq)] = v
-        dag = dag.insert(v, parents)
+        dag.insert(v, parents)
     return dag
 
 

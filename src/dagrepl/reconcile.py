@@ -104,7 +104,7 @@ def f_fair(dag: CommandDag):
 
 def f_lifo(dag: CommandDag):
     """Local insertion order, newest first.  Violates Growing Stable Prefix."""
-    return list(reversed(dag.insertion_order()))
+    return list(reversed(dag.commands()))
 
 
 RECONCILERS = {"bfs": f_bfs, "fair": f_fair, "lifo": f_lifo}

@@ -75,9 +75,6 @@ class Replica:
             self._stale = False
         return self._history
 
-    def history_of(self):
-        return list(self.history)
-
     def append(self, op):
         """Issue `op` locally; returns its response, or BOTTOM untouched.
 
@@ -134,7 +131,7 @@ class Replica:
                 "sequence gap at replica %d: inserting %r after seq %d"
                 % (self.id, v, last))
         self._seen_seq[v.issuer] = v.seq
-        self.dag = self.dag.insert(v, parents)
+        self.dag.insert(v, parents)
         if self._key is None:
             self._stale = True
         else:

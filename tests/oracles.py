@@ -131,7 +131,7 @@ def random_protocol_dag(rng, max_vertices, max_issuers):
             parents = {EPSILON}
         cmd = Command(("push", counter), j, len(own[j]) + 1)
         counter += 1
-        dag = dag.insert(cmd, parents)
+        dag.insert(cmd, parents)
         pasts[cmd] = frozenset().union(
             *(pasts[p] for p in parents if p is not EPSILON)) | {cmd}
         own[j].append(cmd)
@@ -205,7 +205,7 @@ def _build(state, n_issuers):
                 cmd = Command(("push", 10 * key[0] + key[1]),
                               key[0], key[1])
                 cmds[key] = cmd
-                dag = dag.insert(
+                dag.insert(
                     cmd, {EPSILON if p == root else cmds[p] for p in ps})
                 del remaining[key]
                 break

@@ -49,7 +49,7 @@ def test_stability_continuous_bfs_monotone_and_long():
     assert lens == sorted(lens)
     issued = sum(report.issued.values())
     assert report.final_len >= issued * 2 // 3
-    verdict = check_stability(trace, min_fraction=2 / 3)
+    verdict = check_stability(report, min_fraction=2 / 3)
     assert verdict["ok"]
 
 
@@ -59,7 +59,7 @@ def test_stability_continuous_lifo_never_stabilizes():
     trace = run(continuous_scenario(1, "lifo"))
     report = stable_prefix(trace)
     assert report.final_len == 0
-    assert not check_stability(trace, min_fraction=0.1)["ok"]
+    assert not check_stability(report, min_fraction=0.1)["ok"]
 
 
 def test_stability_quiescent_prefix_is_full_history(random_trace):
@@ -133,6 +133,37 @@ def test_safety_detects_wrong_order(random_trace):
         hits[-1]["h"] = list(reversed(hits[-1]["h"]))
     verdict = check_safety(_mutated(random_trace, corrupt))
     assert not verdict["recon_equivalence"]["ok"]
+
+
+def test_safety_detects_changed_parents(random_trace):
+    def corrupt(t):
+        # a replica that is not the issuer records one parent fewer
+        ev = next(ev for ev in t.events if ev["kind"] == "insert"
+                  and ev["vertex"][0] != ev["replica"] and ev["parents"])
+        ev["parents"] = ev["parents"][1:]
+    verdict = check_safety(_mutated(random_trace, corrupt))
+    assert not verdict["past_immutability"]["ok"]
+
+
+def test_safety_detects_issue_missing_from_snapshots(random_trace):
+    def corrupt(t):
+        ev = next(ev for ev in t.events if ev["kind"] == "append")
+        uid = [ev["replica"], ev["seq"]]
+        for snap in t.events:
+            if snap["kind"] == "history" and snap["replica"] == uid[0]:
+                snap["h"] = [u for u in snap["h"] if u != uid]
+    verdict = check_safety(_mutated(random_trace, corrupt))
+    assert not verdict["wait_freedom"]["ok"]
+
+
+def test_safety_detects_message_flood(random_trace):
+    def corrupt(t):
+        ev = next(ev for ev in t.events if ev["kind"] == "send")
+        n = t.meta["scenario"]["n"]
+        last = t.events[-1]["t"]
+        t.events.extend(dict(ev, t=last + k + 1) for k in range(n * n + 1))
+    verdict = check_safety(_mutated(random_trace, corrupt))
+    assert not verdict["message_bound"]["ok"]
 
 
 def test_safety_detects_missing_totality(random_trace):

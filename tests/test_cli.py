@@ -116,7 +116,47 @@ def _bogus_recon(path):
     path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
 
 
-@pytest.mark.parametrize("spoil", [_truncate, _drop_crashed, _bogus_recon])
+def _edit_events(path, edit):
+    """Rewrite the trace at `path` with `edit` applied to its event list."""
+    lines = path.read_text().splitlines()
+    events = [json.loads(line) for line in lines[1:]]
+    edit(events)
+    path.write_text("\n".join(lines[:1] + [json.dumps(ev) for ev in events])
+                    + "\n")
+
+
+def _first(events, kind):
+    return next(ev for ev in events if ev["kind"] == kind)
+
+
+def _unknown_parent(path):
+    def edit(events):
+        _first(events, "insert")["parents"].append([99, 1])
+    _edit_events(path, edit)
+
+
+def _repeated_insert(path):
+    def edit(events):
+        events.append(dict(_first(events, "insert"), t=events[-1]["t"] + 1))
+    _edit_events(path, edit)
+
+
+def _insert_outside_replicas(path):
+    def edit(events):
+        _first(events, "insert")["replica"] = 99
+    _edit_events(path, edit)
+
+
+def _history_outside_replicas(path):
+    def edit(events):
+        _first(events, "history")["replica"] = 0
+    _edit_events(path, edit)
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _drop_crashed, _bogus_recon,
+                                   _unknown_parent, _repeated_insert,
+                                   _insert_outside_replicas,
+                                   _history_outside_replicas])
 def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
     path = _fig1_trace(tmp_path)
     spoil(path)

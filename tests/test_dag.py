@@ -3,8 +3,8 @@ import random
 import pytest
 
 from dagrepl.dag import (Command, CommandDag, EPSILON, DuplicateVertex,
-                         MissingParent, UnknownVertex, dist, format_dag,
-                         insert_vertex, leaves, parse_dag, past, topo_sort)
+                         MissingParent, UnknownVertex, format_dag, parse_dag,
+                         topo_sort)
 
 from oracles import all_topo_orders, brute_dist, brute_past, \
     random_protocol_dag
@@ -17,19 +17,20 @@ def cmd(issuer, seq, tag="op"):
 def test_insert_first_vertex():
     dag = CommandDag()
     v = cmd(1, 1)
-    dag = insert_vertex(dag, v, {EPSILON})
-    assert dist(dag, v) == 1
-    assert leaves(dag) == {v}
+    assert dag.insert(v, {EPSILON}) is None
+    assert dag.dist(v) == 1
+    assert dag.leaves() == {v}
 
 
 def test_insert_missing_parent():
     dag = CommandDag()
     with pytest.raises(MissingParent):
-        insert_vertex(dag, cmd(1, 1), {cmd(9, 9)})
+        dag.insert(cmd(1, 1), {cmd(9, 9)})
 
 
 def test_insert_duplicate():
-    dag = insert_vertex(CommandDag(), cmd(1, 1), {EPSILON})
+    dag = CommandDag()
+    dag.insert(cmd(1, 1), {EPSILON})
     with pytest.raises(DuplicateVertex):
         dag.insert(cmd(1, 1), {EPSILON})
 
@@ -39,20 +40,37 @@ def test_insert_needs_parents():
         CommandDag().insert(cmd(1, 1), set())
 
 
-def test_value_semantics():
-    dag = insert_vertex(CommandDag(), cmd(1, 1), {EPSILON})
-    bigger = insert_vertex(dag, cmd(2, 1), {EPSILON})
-    assert len(dag) == 1 and len(bigger) == 2
-    assert cmd(2, 1) not in dag
+def test_rejected_insert_leaves_dag_unchanged(fig1_dag):
+    before = format_dag(fig1_dag)
+    commands = fig1_dag.commands()
+    leaves = fig1_dag.leaves()
+    last = commands[-1]
+    rejected = [(last, {EPSILON}, DuplicateVertex),
+                (cmd(9, 1), {last, cmd(9, 9)}, MissingParent),
+                (cmd(9, 1), set(), MissingParent)]
+    for v, parents, error in rejected:
+        with pytest.raises(error):
+            fig1_dag.insert(v, parents)
+        assert format_dag(fig1_dag) == before
+        assert fig1_dag.commands() == commands
+        assert fig1_dag.leaves() == leaves
+        assert cmd(9, 1) not in fig1_dag
+        assert fig1_dag.all_mask() == (1 << len(commands)) - 1
+    # the DAG still takes the vertex once its parents are right, and the
+    # commands read before it are a snapshot, not the live order
+    fig1_dag.insert(cmd(9, 1), {last})
+    assert fig1_dag.commands() == commands + (cmd(9, 1),)
+    assert fig1_dag.leaves() == (leaves - {last}) | {cmd(9, 1)}
+    assert fig1_dag.dist(cmd(9, 1)) == fig1_dag.dist(last) + 1
 
 
 def test_leaves_root_only():
-    assert leaves(CommandDag()) == {EPSILON}
+    assert CommandDag().leaves() == {EPSILON}
 
 
 def test_fig1_leaves(fig1_dag, fig1_vertices):
     v = fig1_vertices
-    assert leaves(fig1_dag) == {v["F"], v["G"]}
+    assert fig1_dag.leaves() == {v["F"], v["G"]}
 
 
 def test_fig1_leaves_without_last_layer(fig1_vertices):
@@ -61,47 +79,47 @@ def test_fig1_leaves_without_last_layer(fig1_vertices):
     v = fig1_vertices
     dag = CommandDag()
     for u in (v["A"], v["B"], v["C"]):
-        dag = dag.insert(u, {EPSILON})
-    dag = dag.insert(v["D"], {v["A"], v["B"]})
-    dag = dag.insert(v["E"], {v["A"], v["B"], v["C"]})
-    assert leaves(dag) == {v["D"], v["E"]}
+        dag.insert(u, {EPSILON})
+    dag.insert(v["D"], {v["A"], v["B"]})
+    dag.insert(v["E"], {v["A"], v["B"], v["C"]})
+    assert dag.leaves() == {v["D"], v["E"]}
 
 
 def test_fig1_insert_distance(fig1_vertices):
     v = fig1_vertices
     dag = CommandDag()
     for u in (v["A"], v["B"], v["C"]):
-        dag = dag.insert(u, {EPSILON})
-    dag = dag.insert(v["E"], {v["A"], v["B"], v["C"]})
-    assert dist(dag, v["E"]) == 2
+        dag.insert(u, {EPSILON})
+    dag.insert(v["E"], {v["A"], v["B"], v["C"]})
+    assert dag.dist(v["E"]) == 2
     assert brute_dist(dag, v["E"]) == 2
 
 
 def test_fig1_past(fig1_dag, fig1_vertices):
     v = fig1_vertices
-    assert past(fig1_dag, v["A"]) == {v["A"]}
-    assert past(fig1_dag, v["E"]) == {v["A"], v["B"], v["C"], v["E"]}
-    assert past(fig1_dag, v["F"]) == {v["A"], v["B"], v["D"], v["F"]}
+    assert fig1_dag.past(v["A"]) == {v["A"]}
+    assert fig1_dag.past(v["E"]) == {v["A"], v["B"], v["C"], v["E"]}
+    assert fig1_dag.past(v["F"]) == {v["A"], v["B"], v["D"], v["F"]}
     for u in fig1_dag.commands():
-        assert past(fig1_dag, u) == brute_past(fig1_dag, u)
+        assert fig1_dag.past(u) == brute_past(fig1_dag, u)
 
 
 def test_fig1_dist(fig1_dag, fig1_vertices):
     v = fig1_vertices
-    assert dist(fig1_dag, EPSILON) == 0
-    assert dist(fig1_dag, v["E"]) == 2
-    assert dist(fig1_dag, v["G"]) == 3
+    assert fig1_dag.dist(EPSILON) == 0
+    assert fig1_dag.dist(v["E"]) == 2
+    assert fig1_dag.dist(v["G"]) == 3
     for u in (v["A"], v["B"], v["C"]):
-        assert dist(fig1_dag, u) == 1
+        assert fig1_dag.dist(u) == 1
     for u in fig1_dag.commands():
-        assert dist(fig1_dag, u) == brute_dist(fig1_dag, u)
+        assert fig1_dag.dist(u) == brute_dist(fig1_dag, u)
 
 
 def test_unknown_vertex(fig1_dag):
     with pytest.raises(UnknownVertex):
-        past(fig1_dag, cmd(9, 9))
+        fig1_dag.past(cmd(9, 9))
     with pytest.raises(UnknownVertex):
-        dist(fig1_dag, cmd(9, 9))
+        fig1_dag.dist(cmd(9, 9))
 
 
 def test_topo_sort_fig1_subsets(fig1_dag, fig1_vertices):
@@ -132,7 +150,7 @@ def test_distance_immutable_under_insertions():
         recorded = {}
         rebuilt = CommandDag()
         for v in dag.commands():
-            rebuilt = rebuilt.insert(v, dag.parents_of(v))
+            rebuilt.insert(v, dag.parents_of(v))
             recorded[v] = rebuilt.dist(v)
         for v in dag.commands():
             assert dag.dist(v) == recorded[v] == brute_dist(dag, v)
@@ -152,7 +170,7 @@ def test_past_independent_of_insertion_interleaving():
             for v in list(remaining):
                 if all(p is EPSILON or p in inserted
                        for p in dag.parents_of(v)):
-                    other = other.insert(v, dag.parents_of(v))
+                    other.insert(v, dag.parents_of(v))
                     inserted.add(v)
                     remaining.remove(v)
         for v in verts:
@@ -165,7 +183,7 @@ def test_expand_mask_matches_per_bit_scan():
     for size in (0, 1, 7, 64, 65, 300):
         dag = CommandDag()
         for k in range(size):
-            dag = dag.insert(cmd(1, k + 1), dag.leaves())
+            dag.insert(cmd(1, k + 1), dag.leaves())
         order = dag.commands()
         for density in (0.0, 0.04, 0.5, 1.0):
             mask = sum(1 << i for i in range(size) if rng.random() < density)

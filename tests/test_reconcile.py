@@ -102,7 +102,7 @@ def test_bfs_depends_only_on_structure():
             for v in list(remaining):
                 if all(p is EPSILON or p in inserted
                        for p in dag.parents_of(v)):
-                    other = other.insert(v, dag.parents_of(v))
+                    other.insert(v, dag.parents_of(v))
                     inserted.add(v)
                     remaining.remove(v)
         assert f_bfs(other) == f_bfs(dag)

@@ -46,7 +46,6 @@ def test_history_equals_recon_of_dag():
     for k in range(5):
         r.append(("push", k))
     assert r.history == f_fair(r.dag)
-    assert r.history_of() == r.history
 
 
 def test_on_deliver_in_order():
