@@ -31,8 +31,24 @@ def _lcp(a, b):
     return i
 
 
+def _int(x):
+    if type(x) is not int:
+        raise TypeError("%r is not an integer" % (x,))
+    return x
+
+
+def _uid(x):
+    issuer, seq = x
+    return _int(issuer), _int(seq)
+
+
 class _Digest:
-    """One linear pass over the trace, shared by the checkers."""
+    """One linear pass over the trace, shared by the checkers.
+
+    It is the checkers' only reader of raw events.  It requires strictly
+    increasing `t` and well-formed fields, raising ConfigError that names
+    the offending event otherwise, so the checkers trust what it records.
+    """
 
     def __init__(self, trace):
         meta = trace.meta
@@ -42,35 +58,64 @@ class _Digest:
         self.crashed = set(meta["crashed"])
         self.correct = [r for r in range(1, self.n + 1)
                         if r not in self.crashed]
-        self.appends = defaultdict(list)    # rid -> [(t, uid, op, resp)]
-        self.bottoms = defaultdict(list)    # rid -> [(t, op)]
-        self.ops = {}                       # uid -> op tuple
+        self.appends = defaultdict(list)    # rid -> [(t, uid)]
         self.snapshots = defaultdict(list)  # rid -> [(t, tuple of uid)]
-        self.inserts = defaultdict(list)    # rid -> [(t, uid, parent uids)]
-        self.delivers = defaultdict(list)   # rid -> [(t, uid)]
+        self.inserted = defaultdict(set)    # rid -> uids inserted there
+        self.delivers = defaultdict(list)   # rid -> [uid]
         self.sends = Counter()              # uid -> channel send count
-        for ev in trace.events:
-            kind = ev["kind"]
+        # Inserts (t, 0, rid, uid, parent uids) and snapshots
+        # (t, 1, rid, index in snapshots[rid], h), in trace order.
+        self.ordered = []
+        prev_t = None
+        for pos, ev in enumerate(trace.events, 1):
+            try:
+                kind, t, rid, value = self._decode(ev)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    "trace event %d (t=%r) is malformed: %s %s"
+                    % (pos, ev.get("t") if isinstance(ev, dict) else None,
+                       type(exc).__name__, exc)) from None
+            if prev_t is not None and t <= prev_t:
+                raise ConfigError("trace event %d has t=%d, not above the "
+                                  "previous event's t=%d" % (pos, t, prev_t))
+            prev_t = t
             if kind == "append":
-                uid = (ev["replica"], ev["seq"])
-                self.appends[ev["replica"]].append(
-                    (ev["t"], uid, tuple(ev["op"]), ev["resp"]))
-                self.ops[uid] = tuple(ev["op"])
-            elif kind == "append_bottom":
-                self.bottoms[ev["replica"]].append((ev["t"],
-                                                    tuple(ev["op"])))
+                self.appends[rid].append((t, value))
             elif kind == "history":
-                self.snapshots[ev["replica"]].append(
-                    (ev["t"], tuple((j, s) for j, s in ev["h"])))
+                self.ordered.append((t, 1, rid, len(self.snapshots[rid]),
+                                     value))
+                self.snapshots[rid].append((t, value))
             elif kind == "insert":
-                self.inserts[ev["replica"]].append(
-                    (ev["t"], tuple(ev["vertex"]),
-                     tuple(tuple(p) for p in ev["parents"])))
+                self.ordered.append((t, 0, rid) + value)
+                self.inserted[rid].add(value[0])
             elif kind == "deliver":
-                self.delivers[ev["replica"]].append(
-                    (ev["t"], tuple(ev["uid"])))
+                self.delivers[rid].append(value)
             elif kind == "send":
-                self.sends[tuple(ev["uid"])] += 1
+                self.sends[value] += 1
+
+    def _decode(self, ev):
+        """(kind, t, replica, fields) of one event, or KeyError, TypeError
+        or ValueError for a missing or malformed field or an unknown kind."""
+        kind, t = ev["kind"], _int(ev["t"])
+        if kind in ("append_bottom", "crash", "partition_start",
+                    "partition_end"):       # nothing read but `t`
+            return kind, t, None, None
+        if kind == "send":
+            return kind, t, None, _uid(ev["uid"])
+        if kind not in ("append", "history", "insert", "deliver"):
+            raise ValueError("unknown event kind %r" % (kind,))
+        rid = _int(ev["replica"])
+        if not 1 <= rid <= self.n:
+            raise ValueError("replica %d is not in 1..%d" % (rid, self.n))
+        if kind == "append":
+            value = (rid, _int(ev["seq"]))
+        elif kind == "history":
+            value = tuple(map(_uid, ev["h"]))
+        elif kind == "insert":
+            value = (_uid(ev["vertex"]), frozenset(map(_uid, ev["parents"])))
+        else:
+            value = _uid(ev["uid"])
+        return kind, t, rid, value
 
 
 def _digest(trace):
@@ -99,7 +144,6 @@ class StabilityReport:
     stable_history: tuple             # tuple of (issuer, seq)
     revocations: dict                 # uid -> revocation count
     basis_at_issue: dict              # uid -> basis tuple (issuer view)
-    per_replica: dict                 # rid -> {"in_stable", "never_revoked"}
     issued: dict                      # rid -> successfully issued count
     quiescent: bool
     t_stable_start: int               # trace step the tail window opens at
@@ -108,69 +152,57 @@ class StabilityReport:
 
 def stable_prefix(trace) -> StabilityReport:
     d = _digest(trace)
-    merged = []
-    for rid in d.correct:
-        for t, h in d.snapshots.get(rid, []):
-            merged.append((t, rid, h))
-    merged.sort(key=lambda x: x[0])
+    correct = set(d.correct)
+    snaps = [(t, rid, h) for t, tag, rid, _, h in d.ordered
+             if tag == 1 and rid in correct]
 
     issued = {rid: len(d.appends.get(rid, [])) for rid in d.correct}
 
-    if not merged:
-        return StabilityReport([], 0, (), {}, {}, {}, issued,
-                               d.quiescent, 0, d.correct)
+    if not snaps:
+        return StabilityReport([], 0, (), {}, {}, issued, d.quiescent, 0,
+                               d.correct)
 
     # longest common prefix of every snapshot in the suffix starting at k
-    lcp_from = [0] * len(merged)
-    common = merged[-1][2]
-    for k in range(len(merged) - 1, -1, -1):
-        common = common[:_lcp(common, merged[k][2])]
+    lcp_from = [0] * len(snaps)
+    common = snaps[-1][2]
+    for k in range(len(snaps) - 1, -1, -1):
+        common = common[:_lcp(common, snaps[k][2])]
         lcp_from[k] = len(common)
-        common = merged[k][2][:len(common)]
 
     last_index = {}
-    for k, (_, rid, _) in enumerate(merged):
+    for k, (_, rid, _) in enumerate(snaps):
         last_index[rid] = k
     k_star = min(last_index.values())
     final_len = lcp_from[k_star]
-    prefix_value = merged[-1][2][:final_len]
+    prefix_value = snaps[-1][2][:final_len]
 
     if d.quiescent and len({d.snapshots[r][-1][1] for r in d.correct
                             if d.snapshots.get(r)}) == 1:
-        stable_history = merged[-1][2]
+        stable_history = snaps[-1][2]
     else:
         stable_history = prefix_value
 
-    curve = [(merged[k][0], lcp_from[k]) for k in range(k_star + 1)]
+    curve = [(snaps[k][0], lcp_from[k]) for k in range(k_star + 1)]
 
     revocations = Counter()
     basis_at_issue = {}
     for rid in d.correct:
-        snaps = d.snapshots.get(rid, [])
         prev = ()
         seen = set()
-        for _, h in snaps:
+        for _, h in d.snapshots.get(rid, []):
             cut = _lcp(prev, h)
             for uid in prev[cut:]:
                 revocations[uid] += 1
-            for pos, uid in enumerate(h):
+            # h[:cut] is prev[:cut], whose own commands are already seen
+            for pos, uid in enumerate(h[cut:], cut):
                 if uid[0] == rid and uid not in seen:
                     seen.add(uid)
                     basis_at_issue[uid] = h[:pos]
             prev = h
 
-    per_replica = {}
-    for rid in d.correct:
-        own = [uid for uid in stable_history if uid[0] == rid]
-        per_replica[rid] = {
-            "in_stable": len(own),
-            "never_revoked": sum(1 for uid in own
-                                 if revocations.get(uid, 0) == 0),
-        }
-
     return StabilityReport(curve, final_len, stable_history,
-                           dict(revocations), basis_at_issue, per_replica,
-                           issued, d.quiescent, merged[k_star][0], d.correct)
+                           dict(revocations), basis_at_issue, issued,
+                           d.quiescent, snaps[k_star][0], d.correct)
 
 
 def fairness_report(trace, report: StabilityReport, window: int = 10):
@@ -190,7 +222,7 @@ def fairness_report(trace, report: StabilityReport, window: int = 10):
     missing = []
     indeterminate = 0
     for rid in d.correct:
-        for t, uid, _, _ in d.appends.get(rid, []):
+        for t, uid in d.appends.get(rid, []):
             if uid in stable_set:
                 continue
             if t >= report.t_stable_start:
@@ -248,33 +280,31 @@ def check_safety(trace, sample: int = 1):
     # snapshot element matches an issued command, without repeats.
     issued = set()
     for rid, apps in d.appends.items():
-        for i, (_, uid, _, _) in enumerate(apps):
+        for i, (_, uid) in enumerate(apps):
             if uid != (rid, i + 1):
                 problems["validity"].append(
                     "replica %d append %d has uid %r" % (rid, i + 1, uid))
             issued.add(uid)
-    for rid in range(1, d.n + 1):
-        for t, h in d.snapshots.get(rid, []):
-            if len(set(h)) != len(h):
-                problems["validity"].append(
-                    "repeated command in history of %d at t=%d" % (rid, t))
-            for uid in h:
-                if uid not in issued:
-                    problems["validity"].append(
-                        "unissued %r in history of %d" % (uid, rid))
 
-    # Monotonicity and wait-freedom over the snapshot stream.
+    # Validity of each snapshot, monotonicity and wait-freedom over the
+    # snapshot stream.
     for rid in range(1, d.n + 1):
         snaps = d.snapshots.get(rid, [])
         prev = set()
         for t, h in snaps:
             cur = set(h)
+            if len(cur) != len(h):
+                problems["validity"].append(
+                    "repeated command in history of %d at t=%d" % (rid, t))
+            for uid in sorted(cur - issued):
+                problems["validity"].append(
+                    "unissued %r in history of %d" % (uid, rid))
             if not prev <= cur:
                 problems["monotonicity"].append(
                     "history of %d shrank at t=%d" % (rid, t))
             prev = cur
         times = [t for t, _ in snaps]
-        for t, uid, _, _ in d.appends.get(rid, []):
+        for t, uid in d.appends.get(rid, []):
             k = bisect_left(times, t)
             if k == len(snaps) or uid not in snaps[k][1]:
                 problems["wait_freedom"].append(
@@ -282,7 +312,7 @@ def check_safety(trace, sample: int = 1):
 
     # Reliable broadcast properties.
     for rid in range(1, d.n + 1):
-        seen = Counter(uid for _, uid in d.delivers.get(rid, []))
+        seen = Counter(d.delivers.get(rid, []))
         for uid, cnt in seen.items():
             if cnt > 1:
                 problems["rb_integrity"].append(
@@ -291,16 +321,12 @@ def check_safety(trace, sample: int = 1):
                 problems["rb_integrity"].append(
                     "%r delivered but never broadcast" % (uid,))
     for rid in [r for r in range(1, d.n + 1) if r not in d.crashed]:
-        own_inserted = {uid for _, uid, _ in d.inserts.get(rid, [])
-                        if uid[0] == rid}
-        for _, uid, _, _ in d.appends.get(rid, []):
-            if uid not in own_inserted:
+        for _, uid in d.appends.get(rid, []):
+            if uid not in d.inserted.get(rid, ()):
                 problems["rb_validity"].append(
                     "correct sender %d missing own %r" % (rid, uid))
     if d.quiescent:
-        known = {}
-        for rid in d.correct:
-            known[rid] = {uid for _, uid, _ in d.inserts.get(rid, [])}
+        known = {rid: d.inserted.get(rid, set()) for rid in d.correct}
         union = set().union(*known.values()) if known else set()
         for rid, k in known.items():
             for uid in union - k:
@@ -317,24 +343,12 @@ def check_safety(trace, sample: int = 1):
     # reconciliation of the DAG, which also implies RF-Totality per
     # snapshot.
     recon = get_reconciler(d.recon_name)
-    merged = []
-    for rid, ins in d.inserts.items():
-        for t, uid, parents in ins:
-            merged.append((t, 0, rid, uid, parents))
-    for rid, snaps in d.snapshots.items():
-        for i, (t, h) in enumerate(snaps):
-            merged.append((t, 1, rid, i, h))
-    merged.sort(key=lambda x: x[:2])
     dags = {rid: CommandDag() for rid in range(1, d.n + 1)}
     cmds = {}
-    first = {}                  # uid -> (past, parents, dist) where first seen
+    first = {}                  # uid -> (parent uids, dist) where first seen
     level_count = defaultdict(Counter)
-    for t, tag, rid, key, value in merged:
-        dag = dags.get(rid)
-        if dag is None:
-            raise ConfigError("replica %r at t=%d is not in 1..%d (%s)"
-                              % (rid, t, d.n, "history" if tag else
-                                 "insert of %r" % (key,)))
+    for t, tag, rid, key, value in d.ordered:
+        dag = dags[rid]
         if tag == 1:
             i, h = key, value
             if i != len(d.snapshots[rid]) - 1 and (i + 1) % sample != 0:
@@ -344,27 +358,21 @@ def check_safety(trace, sample: int = 1):
                 problems["recon_equivalence"].append(
                     "replica %d snapshot at t=%d != recon(dag)" % (rid, t))
             continue
-        uid, parent_uids = key, value
-        v = cmds.setdefault(
-            uid, Command(d.ops.get(uid, ("?",)), uid[0], uid[1]))
+        uid, parents = key, value
+        # No reconciler reads a command's op, so the rebuilt DAG has none.
+        v = cmds.setdefault(uid, Command((), *uid))
         # A parent no replica has inserted stays a bare uid, which no DAG
         # contains, so insert rejects it like a parent known elsewhere.
         try:
-            dag.insert(v, {cmds.get(p, p) for p in parent_uids}
-                       or {EPSILON})
+            dag.insert(v, {cmds.get(p, p) for p in parents} or {EPSILON})
         except DagError as exc:
             raise ConfigError("replica %d cannot insert %r at t=%d: %s %s"
                               % (rid, uid, t, type(exc).__name__, exc)
                               ) from None
-        pset = frozenset((c.issuer, c.seq) for c in dag.past(v))
-        parents = frozenset((p.issuer, p.seq) for p in dag.parents_of(v)
-                            if isinstance(p, Command))
+        # Equal parent sets at every replica imply, by induction over
+        # insertion order, equal causal pasts.
         dv = dag.dist(v)
-        first_past, first_parents, first_dist = first.setdefault(
-            uid, (pset, parents, dv))
-        if first_past != pset:
-            problems["past_immutability"].append(
-                "past of %r differs at replica %d" % (uid, rid))
+        first_parents, first_dist = first.setdefault(uid, (parents, dv))
         if first_parents != parents:
             problems["past_immutability"].append(
                 "parents of %r differ at replica %d" % (uid, rid))
@@ -377,17 +385,6 @@ def check_safety(trace, sample: int = 1):
                 "replica %d has %d vertices at distance %d"
                 % (rid, level_count[rid][dv], dv))
 
-    # Distances cached at insertion must equal a from-scratch recomputation
-    # on the final DAG (they were recorded incrementally above).
-    for rid, dag in dags.items():
-        for v in dag.commands():
-            fresh = 1 + max((0 if p is EPSILON else dag.dist(p))
-                            for p in dag.parents_of(v))
-            if fresh != first[(v.issuer, v.seq)][2]:
-                problems["dist_immutability"].append(
-                    "cached dist of %r drifted at replica %d"
-                    % ((v.issuer, v.seq), rid))
-
     names = ["validity", "monotonicity", "wait_freedom",
              "past_immutability", "level_bound", "dist_immutability",
              "rb_integrity", "rb_validity", "rb_totality", "message_bound",
@@ -399,8 +396,7 @@ def check_safety(trace, sample: int = 1):
     return verdict
 
 
-def run_all_checks(trace, window: int = 10, min_fraction: float = 0.0,
-                   sample: int = 1):
+def run_all_checks(trace, window: int = 10, sample: int = 1):
     """Every checker on one trace; convergence only binds at quiescence.
 
     The trace is digested once and its stability report computed once;
@@ -410,7 +406,7 @@ def run_all_checks(trace, window: int = 10, min_fraction: float = 0.0,
     report = stable_prefix(d)
     verdicts = {}
     verdicts["safety"] = check_safety(d, sample=sample)
-    verdicts["stability"] = check_stability(report, min_fraction=min_fraction)
+    verdicts["stability"] = check_stability(report)
     verdicts["fairness"] = fairness_report(d, report, window=window)
     if d.quiescent:
         verdicts["convergence"] = check_convergence(d)

@@ -12,6 +12,7 @@ ever removes a vertex or changes one already inserted.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress
 from typing import Iterable, NamedTuple
 
@@ -148,13 +149,18 @@ class CommandDag:
         return set(self.expand_mask(self.past_mask(v)))
 
 
-def topo_sort(dag: CommandDag, subset):
-    """Edge-respecting order of `subset`, ties by (dist, issuer, seq).
+def level_key(dag: CommandDag, c):
+    """(dist, issuer, seq): the level order, fixed once `c` is in `dag`."""
+    return (dag.dist(c), c.issuer, c.seq)
 
-    An edge u -> w forces dist(u) < dist(w), so sorting by the triple is a
+
+def topo_sort(dag: CommandDag, subset):
+    """Edge-respecting order of `subset`, sorted by `level_key`.
+
+    An edge u -> w forces dist(u) < dist(w), so sorting by the key is a
     topological order of any subset.
     """
-    return sorted(subset, key=lambda c: (dag.dist(c), c.issuer, c.seq))
+    return sorted(subset, key=partial(level_key, dag))
 
 
 # --- textual DAG fixtures ----------------------------------------------------

@@ -22,7 +22,7 @@ what lets a replica maintain it incrementally.  The attribute survives
 
 from __future__ import annotations
 
-from .dag import CommandDag, topo_sort
+from .dag import CommandDag, level_key, topo_sort
 
 
 def f_bfs(dag: CommandDag):
@@ -32,15 +32,10 @@ def f_bfs(dag: CommandDag):
     ascending issuer order; an edge strictly increases dist, so the output
     is never required to be edge-respecting within a level and is not.
     """
-    return sorted(dag.commands(),
-                  key=lambda c: (dag.dist(c), c.issuer, c.seq))
+    return topo_sort(dag, dag.commands())
 
 
-def _level_key(dag: CommandDag, c):
-    return (dag.dist(c), c.issuer, c.seq)
-
-
-f_bfs.key = _level_key
+f_bfs.key = level_key
 
 
 def f_fair(dag: CommandDag):
@@ -93,9 +88,7 @@ def f_fair(dag: CommandDag):
             misses += 1
             continue
         misses = 0
-        update = dag.expand_mask(past(leader) & ~seq_mask)
-        update.sort(key=lambda c: (dag.dist(c), c.issuer, c.seq))
-        seq.extend(update)
+        seq.extend(topo_sort(dag, dag.expand_mask(past(leader) & ~seq_mask)))
         seq_mask |= past(leader)
     remaining = dag.expand_mask(dag.all_mask() & ~seq_mask)
     seq.extend(topo_sort(dag, remaining))

@@ -135,14 +135,39 @@ def test_safety_detects_wrong_order(random_trace):
     assert not verdict["recon_equivalence"]["ok"]
 
 
+def _foreign_inserts_with_parents(t):
+    return [ev for ev in t.events if ev["kind"] == "insert"
+            and ev["vertex"][0] != ev["replica"] and ev["parents"]]
+
+
 def test_safety_detects_changed_parents(random_trace):
     def corrupt(t):
         # a replica that is not the issuer records one parent fewer
-        ev = next(ev for ev in t.events if ev["kind"] == "insert"
-                  and ev["vertex"][0] != ev["replica"] and ev["parents"])
+        ev = _foreign_inserts_with_parents(t)[0]
         ev["parents"] = ev["parents"][1:]
     verdict = check_safety(_mutated(random_trace, corrupt))
     assert not verdict["past_immutability"]["ok"]
+
+
+def test_safety_detects_changed_dist(random_trace):
+    def corrupt(t):
+        # hung below the root, the vertex sits at distance 1 there only
+        _foreign_inserts_with_parents(t)[0]["parents"] = []
+    verdict = check_safety(_mutated(random_trace, corrupt))
+    assert not verdict["dist_immutability"]["ok"]
+
+
+def test_safety_detects_overfull_level(random_trace):
+    def corrupt(t):
+        # n+1 more vertices at distance 1 of replica 1
+        n = t.meta["scenario"]["n"]
+        hits = [ev for ev in _foreign_inserts_with_parents(t)
+                if ev["replica"] == 1]
+        assert len(hits) > n
+        for ev in hits[:n + 1]:
+            ev["parents"] = []
+    verdict = check_safety(_mutated(random_trace, corrupt))
+    assert not verdict["level_bound"]["ok"]
 
 
 def test_safety_detects_issue_missing_from_snapshots(random_trace):

@@ -153,16 +153,71 @@ def _history_outside_replicas(path):
     _edit_events(path, edit)
 
 
+def _no_kind(path):
+    def edit(events):
+        del events[0]["kind"]
+    _edit_events(path, edit)
+
+
+def _short_vertex(path):
+    def edit(events):
+        _first(events, "insert")["vertex"] = [1]
+    _edit_events(path, edit)
+
+
+def _late_first_insert(path):
+    def edit(events):
+        _first(events, "insert")["t"] = 10 ** 6
+    _edit_events(path, edit)
+
+
+def _send_without_t(path):
+    def edit(events):
+        del _first(events, "send")["t"]
+    _edit_events(path, edit)
+
+
+def _short_history_element(path):
+    def edit(events):
+        _first(events, "history")["h"].append([1])
+    _edit_events(path, edit)
+
+
+def _append_without_seq(path):
+    def edit(events):
+        del _first(events, "append")["seq"]
+    _edit_events(path, edit)
+
+
+def _unknown_kind(path):
+    def edit(events):
+        _first(events, "send")["kind"] = "bogus"
+    _edit_events(path, edit)
+
+
 @pytest.mark.parametrize("spoil", [_truncate, _drop_crashed, _bogus_recon,
                                    _unknown_parent, _repeated_insert,
                                    _insert_outside_replicas,
-                                   _history_outside_replicas])
+                                   _history_outside_replicas,
+                                   _no_kind, _short_vertex,
+                                   _late_first_insert, _send_without_t,
+                                   _short_history_element,
+                                   _append_without_seq, _unknown_kind])
 def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
     path = _fig1_trace(tmp_path)
     spoil(path)
     capsys.readouterr()
     assert main(["check", "--trace", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_blames_the_event_out_of_order(capsys, tmp_path):
+    path = _fig1_trace(tmp_path)
+    _late_first_insert(path)
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "t=1000000" in err and "cannot insert" not in err
 
 
 def test_unknown_recon_is_usage_error(capsys):
