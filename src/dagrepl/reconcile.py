@@ -13,14 +13,27 @@ commands (RF-Totality).  Three instances:
 * f_lifo -- newest-first by local insertion order.  Deliberately unstable;
             negative baseline only.
 
-A reconciler that is a plain sort exposes its sort key as a `key`
-attribute, `key(dag, c)`, whose value never changes once `c` is in the DAG.
-Its history then only ever gains vertices at `bisect` positions, which is
-what lets a replica maintain it incrementally.  The attribute survives
-`functools.wraps`, so a wrapped reconciler keeps it.
+A replica does not rerun its reconciler on every change.  It opens a
+session, `open_session(recon, dag)`, over its DAG.  After each
+`dag.insert(v)` it calls `session.insert(v)`, which brings
+`session.history` up to date and returns the first position that changed.
+`session.history` is a fresh list after every insert; a list once handed
+out is never mutated.
+
+* f_bfs.session places v by `bisect` on its immutable `level_key`.
+* f_fair.session resumes the round-robin loop from the one round that v
+  can change (see `_FairSession`).
+* A reconciler without a `session` attribute, f_lifo included, is rerun
+  from scratch and reports position 0, which is exact for f_lifo.
+
+The attributes survive `functools.wraps`, so a wrapped reconciler keeps its
+session.  The functions themselves stay from-scratch: they are the
+reference the sessions are tested against.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .dag import CommandDag, level_key, topo_sort
 
@@ -33,9 +46,6 @@ def f_bfs(dag: CommandDag):
     is never required to be edge-respecting within a level and is not.
     """
     return topo_sort(dag, dag.commands())
-
-
-f_bfs.key = level_key
 
 
 def f_fair(dag: CommandDag):
@@ -98,6 +108,152 @@ def f_fair(dag: CommandDag):
 def f_lifo(dag: CommandDag):
     """Local insertion order, newest first.  Violates Growing Stable Prefix."""
     return list(reversed(dag.commands()))
+
+
+class _LevelOrder:
+    """A set of commands in `level_key` order, grown by bisection."""
+
+    def __init__(self, dag: CommandDag, cmds=None):
+        self._dag = dag
+        self.history = topo_sort(dag, dag.commands() if cmds is None
+                                 else cmds)
+        self._keys = [level_key(dag, c) for c in self.history]
+
+    def insert(self, v):
+        key = level_key(self._dag, v)
+        pos = bisect_right(self._keys, key)
+        self._keys.insert(pos, key)
+        self.history = self.history[:pos] + [v] + self.history[pos:]
+        return pos
+
+
+class _FairSession:
+    """f_fair over a growing DAG, resumed from the one round v can change.
+
+    A round is one turn of the issuer pointer; it misses when its scan
+    reaches the end of the issuer's list without finding a leader.  A new
+    vertex v of a known issuer i is childless and i's highest sequence
+    number, so it is in no other vertex's past and last in i's list: only a
+    scan that reaches the end of i's list can see it, and after i's first
+    miss round every round of i misses.  Every earlier round runs as before.
+    In that first miss round v leads iff past(v) covers the sequence built
+    so far.  If it does, the loop resumes from the state saved at the start
+    of that round.  If not, v fails the coverage test in every later round
+    too, because the built sequence only grows, so no round changes and v
+    joins the leftover batch by bisection.  A first vertex of a new issuer
+    changes the rotation, so the loop reruns from round 0; that happens
+    once per issuer.
+
+    Saved states of later rounds may hold a scan pointer to i that stops
+    short of such a leftover v.  Resuming from one rescans v, which fails
+    again, so the result is the same.
+    """
+
+    def __init__(self, dag: CommandDag):
+        self._dag = dag
+        self._by_proc = {}     # issuer -> its commands, ascending seq
+        self._bit = {}         # command -> its bit in the past masks
+        for i, c in enumerate(dag.commands()):
+            self._by_proc.setdefault(c.issuer, []).append(c)
+            self._bit[c] = 1 << i
+        for lst in self._by_proc.values():
+            lst.sort(key=lambda c: c.seq)
+        # issuer -> (round, len(seq), seq_mask, rr, ptr, misses) at the
+        # start of its first miss round
+        self._saved = {}
+        self._seq = []         # the sequence built by the leader rounds
+        self._restart()
+
+    def insert(self, v):
+        """Account for `v`, just inserted into the DAG; returns the first
+        changed history position.  `v` must follow every earlier command
+        of its issuer, which the protocol's causal chains guarantee."""
+        self._bit[v] = 1 << (len(self._dag) - 1)
+        old = self.history
+        lst = self._by_proc.get(v.issuer)
+        if lst is None:
+            self._by_proc[v.issuer] = [v]
+            self._restart()
+            pos = 0
+        else:
+            lst.append(v)
+            start = self._saved[v.issuer]
+            if start[2] & ~self._dag.past_mask(v):
+                pos = len(self._seq) + self._rest.insert(v)
+                self.history = self._seq + self._rest.history
+                return pos
+            self._run(*start)
+            pos = start[1]
+        # A rerun rebuilds the history from `pos`, but often only appends
+        # to it: v's leader round tends to take over the old leftover batch.
+        new = self.history
+        end = min(len(old), len(new))
+        while pos < end and old[pos] is new[pos]:
+            pos += 1
+        return pos
+
+    def _restart(self):
+        self._procs = sorted(self._by_proc)
+        self._run(0, 0, 0, 0, dict.fromkeys(self._procs, 0), 0)
+
+    def _run(self, rnd, length, seq_mask, rr, ptr, misses):
+        """Run the loop of f_fair from the given round state to its end."""
+        dag, procs, by_proc, bit = (self._dag, self._procs, self._by_proc,
+                                    self._bit)
+        past = dag.past_mask
+        saved = {j: s for j, s in self._saved.items() if s[0] < rnd}
+        seq = self._seq
+        del seq[length:]
+        ptr = dict(ptr)
+        while misses < len(procs):
+            j = procs[rr]
+            lst = by_proc[j]
+            k = ptr[j]
+            while k < len(lst) and (seq_mask & bit[lst[k]]
+                                    or seq_mask & ~past(lst[k])):
+                k += 1
+            if k == len(lst):
+                if j not in saved:
+                    saved[j] = (rnd, len(seq), seq_mask, rr, dict(ptr),
+                                misses)
+                misses += 1
+            else:
+                misses = 0
+                leader = past(lst[k])
+                seq.extend(topo_sort(dag, dag.expand_mask(leader
+                                                          & ~seq_mask)))
+                seq_mask |= leader
+            ptr[j] = k
+            rr = (rr + 1) % len(procs)
+            rnd += 1
+        self._saved = saved
+        self._rest = _LevelOrder(dag, dag.expand_mask(dag.all_mask()
+                                                      & ~seq_mask))
+        self.history = seq + self._rest.history
+
+
+class _Rerun:
+    """Session of a reconciler without one: rerun it, report position 0."""
+
+    def __init__(self, recon, dag: CommandDag):
+        self._recon = recon
+        self._dag = dag
+        self.history = list(recon(dag))
+
+    def insert(self, v):
+        self.history = list(self._recon(self._dag))
+        return 0
+
+
+f_bfs.key = level_key
+f_bfs.session = _LevelOrder
+f_fair.session = _FairSession
+
+
+def open_session(recon, dag: CommandDag):
+    """A session of `recon` over `dag`, starting from the DAG as it is."""
+    make = getattr(recon, "session", None)
+    return make(dag) if make else _Rerun(recon, dag)
 
 
 RECONCILERS = {"bfs": f_bfs, "fair": f_fair, "lifo": f_lifo}

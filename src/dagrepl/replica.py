@@ -6,24 +6,22 @@ enabledness check, vertex creation and history update touch only local
 state; dissemination is handed to the broadcast layer.  Delivered vertices
 whose parents have not arrived yet are parked until they have.
 
-History and data-type states are maintained incrementally.  Under a
-reconciler that exposes a sort `key` (f_bfs), each new vertex is placed by
-bisection on its immutable key.  Under any other reconciler the history is
-recomputed lazily on the next read and compared with the previous one.
-Either way only the first changed position matters: data-type states are
-cached every `_STRIDE` positions plus at the furthest position replayed,
-and a replay resumes from the nearest cached state at or before that
-position instead of from the initial state.
+The history is kept up to date by a reconciler session
+(`reconcile.open_session`): each inserted vertex is handed to the session,
+which updates the history and reports the first position that changed.
+Data-type states are cached every `_STRIDE` positions plus at the furthest
+position replayed, and a replay resumes from the nearest cached state at or
+before that position instead of from the initial state.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 
 from .broadcast import BroadcastMessage
 from .dag import Command, CommandDag, EPSILON
 from .datatype import BOTTOM, DataTypeSpec, replay
+from .reconcile import open_session
 
 # Positions between cached data-type states.  One state per position makes
 # a long intlog run's memory quadratic in its length; a stride bounds the
@@ -33,14 +31,6 @@ _STRIDE = 16
 
 class InvariantViolation(Exception):
     pass
-
-
-def _common_prefix(a, b):
-    n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n
 
 
 class Replica:
@@ -56,10 +46,7 @@ class Replica:
         self._broadcast = broadcast if broadcast else (lambda msg: None)
         self._on_insert = on_insert
         self._seen_seq = {}   # issuer -> highest inserted sequence number
-        self._key = getattr(recon, "key", None)
-        self._keys = []       # sort keys along the history, when _key is set
-        self._history = []    # never mutated once handed out
-        self._stale = False   # _history predates a DAG change (no _key)
+        self._session = open_session(recon, self.dag)
         # _states[i] is the state after the first i * _STRIDE commands;
         # _tip the furthest (position, state) replayed.  Both always
         # describe the current history.
@@ -68,12 +55,8 @@ class Replica:
 
     @property
     def history(self):
-        if self._stale:
-            history = list(self.recon(self.dag))
-            self._changed_from(_common_prefix(self._history, history))
-            self._history = history
-            self._stale = False
-        return self._history
+        """The current history; a list once returned is never mutated."""
+        return self._session.history
 
     def append(self, op):
         """Issue `op` locally; returns its response, or BOTTOM untouched.
@@ -132,14 +115,7 @@ class Replica:
                 % (self.id, v, last))
         self._seen_seq[v.issuer] = v.seq
         self.dag.insert(v, parents)
-        if self._key is None:
-            self._stale = True
-        else:
-            key = self._key(self.dag, v)
-            pos = bisect_right(self._keys, key)
-            self._keys.insert(pos, key)
-            self._history = self._history[:pos] + [v] + self._history[pos:]
-            self._changed_from(pos)
+        self._changed_from(self._session.insert(v))
         if self._on_insert:
             self._on_insert(v, parents)
 
@@ -159,7 +135,8 @@ class Replica:
         responses = []
         while k < pos:
             end = min(pos, k - k % _STRIDE + _STRIDE)
-            state, done = replay(self.spec, self._history[k:end], state)
+            state, done = replay(self.spec, self._session.history[k:end],
+                                 state)
             responses += done
             k = end
             if k == len(self._states) * _STRIDE:

@@ -120,9 +120,20 @@ class Scenario:
 
 
 TRACE_SCHEMA = 1
-# meta fields the checkers read, as key paths
-_META_FIELDS = (("scenario", "n"), ("scenario", "recon"), ("quiescent",),
-                ("crashed",))
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# meta fields the checkers read: key path, what it must be, and the test
+_META_FIELDS = (
+    (("scenario", "n"), "an integer >= 1", lambda x: _is_int(x) and x >= 1),
+    (("scenario", "recon"), "a string", lambda x: isinstance(x, str)),
+    (("quiescent",), "a boolean", lambda x: isinstance(x, bool)),
+    (("crashed",), "a list of integers",
+     lambda x: isinstance(x, list) and all(map(_is_int, x))),
+)
 
 
 class Trace:
@@ -151,13 +162,16 @@ class Trace:
         if not lines or not isinstance(lines[0], dict) \
                 or "schema" not in lines[0]:
             raise ConfigError("not a trace file: %s" % path)
-        for field in _META_FIELDS:
+        for field, kind, valid in _META_FIELDS:
             node = lines[0]
             for key in field:
                 if not isinstance(node, dict) or key not in node:
                     raise ConfigError("%s: meta line lacks %s"
                                       % (path, ".".join(field)))
                 node = node[key]
+            if not valid(node):
+                raise ConfigError("%s: meta field %s is %r, not %s"
+                                  % (path, ".".join(field), node, kind))
         return cls(lines[0], lines[1:])
 
 

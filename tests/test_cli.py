@@ -102,18 +102,36 @@ def _truncate(path):
     path.write_text(text[:len(text) // 2])
 
 
-def _drop_crashed(path):
+def _edit_meta(path, edit):
+    """Rewrite the trace at `path` with `edit` applied to its meta line."""
     lines = path.read_text().splitlines()
     meta = json.loads(lines[0])
-    del meta["crashed"]
+    edit(meta)
     path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+
+
+def _drop_crashed(path):
+    _edit_meta(path, lambda meta: meta.pop("crashed"))
 
 
 def _bogus_recon(path):
-    lines = path.read_text().splitlines()
-    meta = json.loads(lines[0])
-    meta["scenario"]["recon"] = "bogus"
-    path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+    _edit_meta(path, lambda meta: meta["scenario"].update(recon="bogus"))
+
+
+def _string_n(path):
+    _edit_meta(path, lambda meta: meta["scenario"].update(n="3"))
+
+
+def _integer_crashed(path):
+    _edit_meta(path, lambda meta: meta.update(crashed=5))
+
+
+def _list_recon(path):
+    _edit_meta(path, lambda meta: meta["scenario"].update(recon=["fair"]))
+
+
+def _string_quiescent(path):
+    _edit_meta(path, lambda meta: meta.update(quiescent="yes"))
 
 
 def _edit_events(path, edit):
@@ -202,7 +220,9 @@ def _unknown_kind(path):
                                    _no_kind, _short_vertex,
                                    _late_first_insert, _send_without_t,
                                    _short_history_element,
-                                   _append_without_seq, _unknown_kind])
+                                   _append_without_seq, _unknown_kind,
+                                   _string_n, _integer_crashed, _list_recon,
+                                   _string_quiescent])
 def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
     path = _fig1_trace(tmp_path)
     spoil(path)

@@ -10,7 +10,7 @@ from dagrepl.datatype import BOTTOM, INTLOG, NFS, OK, replay
 from dagrepl.replica import InvariantViolation, Replica
 from dagrepl.reconcile import f_bfs, f_fair, f_lifo
 
-from oracles import random_protocol_dag
+from oracles import oracle_f_fair, random_protocol_dag
 
 
 def test_append_ok():
@@ -191,19 +191,64 @@ def test_incremental_history_matches_from_scratch(recon, spec):
         assert hist == contents
 
 
-def test_key_reconciler_is_never_rerun():
-    # A wrapped f_bfs keeps its key attribute, and with it the bisect path.
+@pytest.mark.parametrize("recon", [f_bfs, f_fair], ids=["bfs", "fair"])
+def test_key_reconciler_is_never_rerun(recon):
+    # A wrapped reconciler keeps its session attribute, and with it the
+    # incremental path.
     calls = []
 
-    @functools.wraps(f_bfs)
+    @functools.wraps(recon)
     def counted(dag):
         calls.append(1)
-        return f_bfs(dag)
+        return recon(dag)
 
     r = Replica(2, INTLOG, counted)
     a = Command(("push", 1), 1, 1)
     r.on_deliver(BroadcastMessage(a, frozenset({EPSILON})))
     for k in range(5):
         r.append(("push", k))
-    assert r.history == f_bfs(r.dag)
+    assert r.history == recon(r.dag)
     assert calls == []
+
+
+@pytest.mark.parametrize("recon", [f_bfs, f_fair, f_lifo],
+                         ids=["bfs", "fair", "lifo"])
+def test_session_matches_recon_on_shuffled_deliveries(recon, monkeypatch):
+    # Vertices of random protocol DAGs reach a replica in random order, so
+    # they get parked and new issuers appear mid-stream.  After each insert
+    # the history must be the from-scratch one, and the session must have
+    # reported a position before which nothing changed.
+    changed = []
+    real = Replica._changed_from
+
+    def record(self, pos):
+        changed.append(pos)
+        real(self, pos)
+
+    monkeypatch.setattr(Replica, "_changed_from", record)
+    rng = random.Random("shuffled-" + recon.__name__)
+    parked = late_issuers = 0
+    for _ in range(60):
+        dag = random_protocol_dag(rng, 30, 5)
+        msgs = [BroadcastMessage(v, frozenset(dag.parents_of(v)))
+                for v in dag.commands()]
+        rng.shuffle(msgs)
+        previous = []
+
+        def check(v, parents):
+            nonlocal previous, late_issuers
+            history = r.history
+            assert history == recon(r.dag)
+            if recon is f_fair:
+                assert history == oracle_f_fair(r.dag)
+            assert history[:changed[-1]] == previous[:changed[-1]]
+            if len(r.dag) > 1 and v.seq == 1:
+                late_issuers += 1
+            previous = list(history)
+
+        r = Replica(9, INTLOG, recon, on_insert=check)
+        for msg in msgs:
+            r.on_deliver(msg)
+            parked += msg.vertex not in r.dag
+        assert len(r.dag) == len(dag) and r.pending == {}
+    assert parked > 300 and late_issuers > 50
