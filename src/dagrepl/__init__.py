@@ -7,7 +7,7 @@ and no starvation (f_fair).  A seeded discrete-event simulator plus trace
 checkers verify those properties mechanically.
 """
 
-from .broadcast import BroadcastMessage, Envelope, ReliableBroadcast
+from .broadcast import BroadcastMessage, ReliableBroadcast
 from .dag import (Command, CommandDag, EPSILON, DagError, DuplicateVertex,
                   MissingParent, UnknownVertex, topo_sort)
 from .datatype import (BOTTOM, DATATYPES, INTLOG, NFS, OK, DataTypeSpec,
@@ -19,8 +19,8 @@ from .sim import ConfigError, Partition, Scenario, Trace, run
 __all__ = [
     "BOTTOM", "BroadcastMessage", "Command", "CommandDag", "ConfigError",
     "DATATYPES", "DagError", "DataTypeSpec", "DuplicateVertex", "EPSILON",
-    "Envelope", "INTLOG", "InvariantViolation", "MissingParent", "NFS",
-    "OK", "Partition", "RECONCILERS", "ReliableBroadcast", "Replica",
-    "Scenario", "Trace", "UnknownVertex", "f_bfs", "f_fair", "f_lifo",
-    "get_datatype", "get_reconciler", "replay", "run", "topo_sort",
+    "INTLOG", "InvariantViolation", "MissingParent", "NFS", "OK",
+    "Partition", "RECONCILERS", "ReliableBroadcast", "Replica", "Scenario",
+    "Trace", "UnknownVertex", "f_bfs", "f_fair", "f_lifo", "get_datatype",
+    "get_reconciler", "replay", "run", "topo_sort",
 ]

@@ -2,13 +2,15 @@
 
 Tolerates any number of crash failures: on first receipt of a message a
 replica forwards it to everyone else before delivering it locally, so if
-any correct replica delivers, all of them eventually do.  Duplicate
-envelopes are suppressed per (origin, vertex) uid.
+any correct replica delivers, all of them eventually do.  A message is its
+vertex: `(issuer, seq)` already names the origin, so duplicates are
+suppressed per vertex at each replica.
 
-The transport is injected: `send(src, dst, env)` is expected to enqueue a
-channel transmission (the simulator owns timing, partitions and crash
-semantics for messages in flight), and `deliver(replica_id, msg)` hands a
-deduplicated message up to the replica automaton.
+The transport is injected and owns crashes: `send(src, dst, msg)` enqueues
+a channel transmission (the simulator decides timing, partitions and what
+happens to messages of a crashed replica, and never calls in on behalf of
+one), and `deliver(replica_id, msg)` hands a deduplicated message up to
+the replica automaton.
 """
 
 from __future__ import annotations
@@ -23,23 +25,11 @@ class BroadcastMessage(NamedTuple):
     parents: frozenset
 
 
-class Envelope(NamedTuple):
-    origin: int
-    payload: BroadcastMessage
-
-    @property
-    def uid(self):
-        v = self.payload.vertex
-        return (self.origin, v.issuer, v.seq)
-
-
 class ReliableBroadcast:
-    def __init__(self, replica_ids, send, deliver,
-                 is_crashed=lambda rid: False):
+    def __init__(self, replica_ids, send, deliver):
         self._ids = list(replica_ids)
         self._send = send
         self._deliver = deliver
-        self._is_crashed = is_crashed
         self._seen = {rid: set() for rid in self._ids}
 
     def r_broadcast(self, sender, msg: BroadcastMessage):
@@ -48,23 +38,17 @@ class ReliableBroadcast:
         The sender's own vertex is already in its DAG when this is called,
         which stands in for self-delivery.
         """
-        env = Envelope(sender, msg)
-        self._seen[sender].add(env.uid)
+        self._seen[sender].add(msg.vertex)
         for dst in self._ids:
             if dst != sender:
-                self._send(sender, dst, env)
+                self._send(sender, dst, msg)
 
-    def on_receive(self, rid, env: Envelope):
+    def on_receive(self, rid, msg: BroadcastMessage):
         """Channel receipt at `rid`: dedup, forward-on-first, deliver."""
-        if self._is_crashed(rid):
+        if msg.vertex in self._seen[rid]:
             return
-        if env.uid in self._seen[rid]:
-            return
-        self._seen[rid].add(env.uid)
+        self._seen[rid].add(msg.vertex)
         for dst in self._ids:
             if dst != rid:
-                self._send(rid, dst, env)
-        self._deliver(rid, env.payload)
-
-    def delivered(self, rid):
-        return set(self._seen[rid])
+                self._send(rid, dst, msg)
+        self._deliver(rid, msg)

@@ -26,6 +26,8 @@ from .sim import ConfigError, Scenario, Trace, run
 
 def _check_name(lookup, name):
     """Turn an unknown registry name into a usage error."""
+    if not isinstance(name, str):
+        raise ConfigError("%r is not a name" % (name,))
     try:
         lookup(name)
     except KeyError as exc:

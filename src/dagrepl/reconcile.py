@@ -245,7 +245,6 @@ class _Rerun:
         return 0
 
 
-f_bfs.key = level_key
 f_bfs.session = _LevelOrder
 f_fair.session = _FairSession
 

@@ -17,6 +17,7 @@ before that position instead of from the initial state.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 
 from .broadcast import BroadcastMessage
 from .dag import Command, CommandDag, EPSILON
@@ -27,6 +28,8 @@ from .reconcile import open_session
 # a long intlog run's memory quadratic in its length; a stride bounds the
 # replay after a change to this many steps plus the changed suffix.
 _STRIDE = 16
+
+_uid = attrgetter("issuer", "seq")
 
 
 class InvariantViolation(Exception):
@@ -102,10 +105,11 @@ class Replica:
                     self.pending.setdefault(still_missing, []).append(parked)
 
     def _missing_parent(self, parents):
-        for p in parents:
-            if p is not EPSILON and p not in self.dag:
-                return p
-        return None
+        """The missing parent with the least uid, or None; the first one
+        found would follow the hash seed, and so would the trace."""
+        return min((p for p in parents
+                    if p is not EPSILON and p not in self.dag),
+                   key=_uid, default=None)
 
     def _insert(self, v: Command, parents):
         last = self._seen_seq.get(v.issuer, 0)

@@ -175,24 +175,51 @@ class Trace:
         return cls(lines[0], lines[1:])
 
 
-def _validate(scenario: Scenario):
-    if scenario.n < 1:
-        raise ConfigError("need at least one replica")
-    get_datatype(scenario.datatype)
-    get_reconciler(scenario.recon)
-    if scenario.snapshot_every < 1:
-        raise ConfigError("snapshot_every must be >= 1")
-    for t, r, op in scenario.workload:
-        if not (1 <= r <= scenario.n):
-            raise ConfigError("workload replica %r out of range" % (r,))
-        if t < 0:
-            raise ConfigError("negative workload time")
-    for r, t in scenario.crashes:
-        if not (1 <= r <= scenario.n):
-            raise ConfigError("crash replica %r out of range" % (r,))
-    for p in scenario.partitions:
-        if p.end <= p.start:
-            raise ConfigError("partition must have a finite positive span")
+def _need(ok, what, value):
+    if not ok:
+        raise ConfigError("%s, not %r" % (what, value))
+
+
+def _validate(sc: Scenario):
+    """Raise ConfigError naming the first malformed field of `sc`."""
+    for name, least in (("n", 1), ("delay_max", 1), ("snapshot_every", 1),
+                        ("horizon", 0)):
+        value = getattr(sc, name)
+        _need(_is_int(value) and value >= least,
+              "%s must be an integer >= %d" % (name, least), value)
+    _need(_is_int(sc.seed), "seed must be an integer", sc.seed)
+    _need(isinstance(sc.quiescence_flush, bool),
+          "quiescence_flush must be a boolean", sc.quiescence_flush)
+    spec = get_datatype(sc.datatype)
+    get_reconciler(sc.recon)
+
+    def replica(r):
+        return _is_int(r) and 1 <= r <= sc.n
+
+    for t, r, op in sc.workload:
+        _need(_is_int(t) and t >= 0, "a workload time must be an integer "
+              ">= 0", t)
+        _need(replica(r), "a workload replica must be in 1..%d" % sc.n, r)
+        try:
+            hash(op)
+            spec.step(spec.initial_state, op)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError("workload op %r fails on %s (%s)"
+                              % (op, spec.name, exc)) from None
+    for r, t in sc.crashes:
+        _need(replica(r) and _is_int(t), "a crash must be a replica in "
+              "1..%d and an integer time" % sc.n, [r, t])
+    for p in sc.partitions:
+        for link in p.links:
+            _need(isinstance(link, (tuple, list)) and len(link) == 2
+                  and all(map(replica, link)), "a partition link must be "
+                  "a pair of replicas in 1..%d" % sc.n, link)
+        _need(_is_int(p.start) and _is_int(p.end) and p.start < p.end,
+              "a partition needs integers start < end", [p.start, p.end])
+    for key, t in (sc.deliveries or {}).items():
+        _need(isinstance(key, tuple) and len(key) == 3
+              and all(map(_is_int, (*key, t))),
+              "a delivery must be four integers", (key, t))
 
 
 class _Sim:
@@ -222,9 +249,7 @@ class _Sim:
         self.quiescent = False
 
         ids = list(range(1, scenario.n + 1))
-        self.rb = ReliableBroadcast(
-            ids, self._send, self._rb_deliver,
-            is_crashed=lambda rid: rid in self.crashed)
+        self.rb = ReliableBroadcast(ids, self._send, self._rb_deliver)
         self.replicas = {}
         for rid in ids:
             self.replicas[rid] = Replica(
@@ -266,10 +291,10 @@ class _Sim:
 
     # --- transport ------------------------------------------------------
 
-    def _deliver_time(self, src, dst, env):
+    def _deliver_time(self, src, dst, msg):
         sc = self.scenario
         if sc.deliveries is not None:
-            v = env.payload.vertex
+            v = msg.vertex
             at = sc.deliveries.get((dst, v.issuer, v.seq))
             if at is None:
                 if not sc.quiescence_flush:
@@ -291,14 +316,13 @@ class _Sim:
             return None
         return at
 
-    def _send(self, src, dst, env):
-        at = self._deliver_time(src, dst, env)
+    def _send(self, src, dst, msg):
+        at = self._deliver_time(src, dst, msg)
         self._emit({"kind": "send", "src": src, "dst": dst,
-                    "uid": [env.payload.vertex.issuer,
-                            env.payload.vertex.seq],
+                    "uid": [msg.vertex.issuer, msg.vertex.seq],
                     "at": self.now, "deliver_at": at})
         if at is not None:
-            self._push(at, "recv", (src, dst, env))
+            self._push(at, "recv", (src, dst, msg))
 
     def _rb_deliver(self, rid, msg):
         self._emit({"kind": "deliver", "replica": rid,
@@ -321,7 +345,7 @@ class _Sim:
                     "seq": seq, "resp": resp})
         self._snapshot(rid, force=True)
 
-    def _handle_recv(self, src, dst, env):
+    def _handle_recv(self, src, dst, msg):
         ct = self.crashed.get(src)
         if ct is not None and self.now > ct:
             # in flight when the sender crashed; kept or dropped per
@@ -331,7 +355,7 @@ class _Sim:
         if dst in self.crashed:
             return
         before = len(self.replicas[dst].dag)
-        self.rb.on_receive(dst, env)
+        self.rb.on_receive(dst, msg)
         if len(self.replicas[dst].dag) != before:
             self._snapshot(dst)
 

@@ -4,16 +4,19 @@ Each test prints a single PASS/FAIL line on the terminal (bypassing
 capture) and then asserts, so `pytest -v tests/test_acceptance.py` doubles
 as a human-readable scorecard.  The heavyweight simulation sweeps are run
 once in a module-scoped fixture and shared by the criteria that consume
-them.
+them; each trace is digested once and the digest handed to every checker.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
-from dagrepl.checks import check_convergence, check_safety, stable_prefix, \
-    fairness_report
+from dagrepl.checks import _Digest, check_convergence, check_safety, \
+    stable_prefix, fairness_report
 from dagrepl.dag import EPSILON
 from dagrepl.datatype import BOTTOM, OK, get_datatype, replay
 from dagrepl.reconcile import f_bfs, f_fair, f_lifo
@@ -52,31 +55,31 @@ def sweeps():
     for seed in range(N_CONVERGENCE_SEEDS):
         for recon in ("bfs", "fair"):
             t0 = time.perf_counter()
-            trace = run(random_scenario(seed, recon))
-            ok = check_convergence(trace)["ok"]
+            digest = _Digest(run(random_scenario(seed, recon)))
+            ok = check_convergence(digest)["ok"]
             data["conv_elapsed"] += time.perf_counter() - t0
             data["conv_runs"] += 1
             data["conv_ok"] += ok
             data["safety"].append(
                 ("random/%s/%d" % (recon, seed),
-                 check_safety(trace, sample=SAFETY_SAMPLE)))
+                 check_safety(digest, sample=SAFETY_SAMPLE)))
 
     for seed in range(N_STABILITY_SEEDS):
         for recon in ("bfs", "fair"):
-            trace = run(continuous_scenario(seed, recon))
-            rep = stable_prefix(trace)
+            digest = _Digest(run(continuous_scenario(seed, recon)))
+            rep = stable_prefix(digest)
             monotone = all(b >= a for (_, a), (_, b)
                            in zip(rep.curve, rep.curve[1:]))
             data["stab"].append((recon, seed, monotone, rep.final_len,
                                  sum(rep.issued.values())))
             data["safety"].append(
                 ("continuous/%s/%d" % (recon, seed),
-                 check_safety(trace, sample=SAFETY_SAMPLE)))
-        trace = run(continuous_scenario(seed, "lifo"))
-        data["lifo_final"].append(stable_prefix(trace).final_len)
+                 check_safety(digest, sample=SAFETY_SAMPLE)))
+        digest = _Digest(run(continuous_scenario(seed, "lifo")))
+        data["lifo_final"].append(stable_prefix(digest).final_len)
         data["safety"].append(
             ("continuous/lifo/%d" % seed,
-             check_safety(trace, sample=SAFETY_SAMPLE)))
+             check_safety(digest, sample=SAFETY_SAMPLE)))
     return data
 
 
@@ -246,4 +249,17 @@ def test_criterion_9_determinism(capsys, tmp_path):
             paths.append(p)
         if paths[0].read_bytes() != paths[1].read_bytes():
             ok = False
-    _line(capsys, 9, ok, "replayed scenarios produce byte-identical traces")
+    # separate processes with different hash seeds write the same bytes
+    across = set()
+    for hash_seed in ("1", "2", "3"):
+        p = tmp_path / ("hash%s.jsonl" % hash_seed)
+        subprocess.run(
+            [sys.executable, "-m", "dagrepl.cli", "run", "--scenario",
+             "random", "--seed", "0", "--recon", "fair", "--trace-out",
+             str(p)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            stdout=subprocess.DEVNULL, check=True, timeout=300)
+        across.add(p.read_bytes())
+    ok = ok and len(across) == 1
+    _line(capsys, 9, ok, "replayed scenarios produce byte-identical traces, "
+          "also across processes with hash seeds 1-3")

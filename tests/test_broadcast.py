@@ -1,4 +1,4 @@
-from dagrepl.broadcast import BroadcastMessage, Envelope, ReliableBroadcast
+from dagrepl.broadcast import BroadcastMessage, ReliableBroadcast
 from dagrepl.dag import Command, EPSILON
 
 
@@ -8,28 +8,24 @@ def make_msg(issuer=1, seq=1):
 
 
 class Net:
-    """Synchronous in-memory transport with an optional crash set."""
+    """Synchronous in-memory transport."""
 
     def __init__(self, ids):
         self.ids = ids
-        self.sent = []          # (src, dst, env)
+        self.sent = []          # (src, dst, msg)
         self.delivered = []     # (rid, msg)
-        self.crashed = set()
         self.rb = ReliableBroadcast(
-            ids, self.send, lambda rid, m: self.delivered.append((rid, m)),
-            is_crashed=lambda rid: rid in self.crashed)
+            ids, self.send, lambda rid, m: self.delivered.append((rid, m)))
         self.queue = []
 
-    def send(self, src, dst, env):
-        self.sent.append((src, dst, env))
-        self.queue.append((dst, env))
+    def send(self, src, dst, msg):
+        self.sent.append((src, dst, msg))
+        self.queue.append((dst, msg))
 
-    def flush(self, drop_from=()):
+    def flush(self):
         while self.queue:
-            dst, env = self.queue.pop(0)
-            if dst in drop_from:
-                continue
-            self.rb.on_receive(dst, env)
+            dst, msg = self.queue.pop(0)
+            self.rb.on_receive(dst, msg)
 
 
 def test_everyone_delivers_once():
@@ -55,21 +51,12 @@ def test_forward_before_deliver():
     order = []
     rb = ReliableBroadcast(
         [1, 2, 3],
-        lambda s, d, e: order.append(("send", s, d)),
+        lambda s, d, m: order.append(("send", s, d)),
         lambda rid, m: order.append(("deliver", rid)))
     rb.r_broadcast(1, make_msg())
-    env = Envelope(1, make_msg())
     order.clear()
-    rb.on_receive(2, env)
+    rb.on_receive(2, make_msg())
     assert order == [("send", 2, 1), ("send", 2, 3), ("deliver", 2)]
-
-
-def test_crashed_receiver_ignores():
-    net = Net([1, 2, 3])
-    net.crashed.add(2)
-    net.rb.r_broadcast(1, make_msg())
-    net.flush()
-    assert net.delivered == [(3, make_msg())]
 
 
 def test_relay_covers_for_crashed_origin():
@@ -78,7 +65,7 @@ def test_relay_covers_for_crashed_origin():
     net = Net([1, 2, 3])
     net.rb.r_broadcast(1, make_msg())
     # Drop the direct 1 -> 3 copy, keep everything forwarded later.
-    direct = [(dst, env) for dst, env in net.queue if dst == 2]
+    direct = [(dst, msg) for dst, msg in net.queue if dst == 2]
     net.queue = direct
     net.flush()
     assert (3, make_msg()) in net.delivered
@@ -91,12 +78,3 @@ def test_distinct_uids_not_confused():
     net.flush()
     assert len(net.delivered) == 2
 
-
-def test_delivered_accounting():
-    net = Net([1, 2, 3])
-    msg = make_msg()
-    net.rb.r_broadcast(1, msg)
-    net.flush()
-    uid = (1, 1, 1)
-    for rid in (1, 2, 3):
-        assert uid in net.rb.delivered(rid)

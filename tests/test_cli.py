@@ -254,6 +254,41 @@ def test_unknown_datatype_is_usage_error(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, value", [
+    (("n",), "3"),
+    (("snapshot_every",), "2"),
+    (("workload", 0, 0), "1"),
+    (("workload", 0, 1), "1"),
+    (("crashes", 0, 1), "x"),
+    (("partitions", 0, "start"), "a"),
+    (("seed",), [1]),
+    (("delay_max",), 0),
+    (("partitions", 0, "links", 0), [1, 2, 3]),
+    (("workload", 0, 2), ["pop"]),
+    (("horizon",), -1),
+    (("workload", 0, 2), []),
+    (("workload", 0, 2), ["push", [1]]),
+    (("quiescence_flush",), "no"),
+    (("deliveries",), [[1, 1, 1, "x"]]),
+    (("datatype",), ["intlog"]),
+], ids=["string_n", "string_snapshot_every", "string_workload_time",
+        "string_workload_replica", "string_crash_time",
+        "string_partition_start", "list_seed", "zero_delay_max",
+        "three_replica_link", "unknown_op", "negative_horizon", "empty_op",
+        "unhashable_op", "string_quiescence_flush", "string_delivery_time",
+        "list_datatype"])
+def test_run_bad_scenario_is_usage_error(capsys, tmp_path, where, value):
+    doc = random_scenario(8, "bfs").to_dict()
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_internal_key_error_propagates(capsys, tmp_path, monkeypatch):
     path = _fig1_trace(tmp_path)
 

@@ -148,3 +148,19 @@ def test_random_scenario_with_faults_converges_and_safe():
     trace = run(random_scenario(11, "fair"))
     assert check_convergence(trace)["ok"]
     assert check_safety(trace, sample=10)["ok"]
+
+
+@pytest.mark.parametrize("recon", ["bfs", "fair"])
+def test_crashed_replica_is_silent(recon):
+    # the simulator alone owns crashes: after its crash event a replica
+    # sends, delivers, inserts and snapshots nothing
+    for seed in range(10):
+        sc = random_scenario(seed, recon)
+        assert len(sc.crashes) == 1
+        crashed = set()
+        for ev in run(sc).events:
+            assert ev.get("replica") not in crashed, (seed, ev)
+            assert ev.get("src") not in crashed, (seed, ev)
+            if ev["kind"] == "crash":
+                crashed.add(ev["replica"])
+        assert crashed == {sc.crashes[0][0]}
