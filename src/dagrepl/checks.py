@@ -5,6 +5,16 @@ from a trace file), or the one-pass digest of it that `run_all_checks`
 shares between them, and return verdict objects; they never mutate the
 trace.  Histories and vertices are identified by (issuer, seq) pairs.
 
+A snapshot is a delta against the replica's previous snapshot (trace
+schema 2), and the checkers work in proportion to the deltas, not to the
+histories: validity, repeats, monotonicity and wait-freedom look at the
+added and the revoked commands only, and the stable-prefix curve is a
+running minimum of `keep`s.  Under `bfs` reconciliation equivalence is
+tested at every snapshot on the added run and its boundary; under `fair`
+and `lifo` the history is compared with a from-scratch reconciliation of
+the rebuilt DAG at every `sample`-th snapshot, which makes the checker a
+differential test of the incremental sessions.
+
 Stability is finite-trace approximated: a prefix of length L counts as
 stabilized once every recorded snapshot from some point onward starts
 with one fixed L-sequence, measured from the latest point at which every
@@ -14,21 +24,13 @@ checkers may miss revocations but never invent them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .dag import Command, CommandDag, DagError, EPSILON
-from .reconcile import get_reconciler
+from .dag import Command, CommandDag, DagError, EPSILON, level_key
+from .reconcile import f_bfs, get_reconciler
 from .sim import ConfigError
-
-
-def _lcp(a, b):
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
 
 
 def _int(x):
@@ -42,12 +44,32 @@ def _uid(x):
     return _int(issuer), _int(seq)
 
 
+class _Delta(NamedTuple):
+    """One decoded snapshot and what it did to the replica's history."""
+    t: int
+    keep: int
+    add: tuple          # uids after the kept prefix
+    repeated: bool      # the history after it repeats a command
+    shrank: bool        # a revoked command is missing from that history
+
+
+def _apply(h, keep, add):
+    """Replace `h[keep:]` by `add` in place; returns the revoked tail."""
+    revoked = h[keep:]
+    del h[keep:]
+    h += add
+    return revoked
+
+
 class _Digest:
     """One linear pass over the trace, shared by the checkers.
 
     It is the checkers' only reader of raw events.  It requires strictly
-    increasing `t` and well-formed fields, raising ConfigError that names
-    the offending event otherwise, so the checkers trust what it records.
+    increasing `t` and well-formed fields, with each `keep` between 0 and
+    the replica's previous history length, raising ConfigError that names the
+    offending event otherwise, so the checkers trust what it records.  It
+    keeps each replica's current history as a list and a uid set, and
+    records per snapshot the facts that need the set.
     """
 
     def __init__(self, trace):
@@ -59,17 +81,27 @@ class _Digest:
         self.correct = [r for r in range(1, self.n + 1)
                         if r not in self.crashed]
         self.appends = defaultdict(list)    # rid -> [(t, uid)]
-        self.snapshots = defaultdict(list)  # rid -> [(t, tuple of uid)]
+        self.snapshots = defaultdict(list)  # rid -> [_Delta]
         self.inserted = defaultdict(set)    # rid -> uids inserted there
         self.delivers = defaultdict(list)   # rid -> [uid]
         self.sends = Counter()              # uid -> channel send count
+        # rid -> its own appends missing from its next snapshot
+        self.unseen = defaultdict(list)
         # Inserts (t, 0, rid, uid, parent uids) and snapshots
-        # (t, 1, rid, index in snapshots[rid], h), in trace order.
+        # (t, 1, rid, index in snapshots[rid], _Delta), in trace order.
         self.ordered = []
+        histories = defaultdict(list)       # rid -> current history
+        members = defaultdict(set)          # rid -> the uids in it
+        awaiting = defaultdict(list)        # rid -> appends since snapshot
         prev_t = None
         for pos, ev in enumerate(trace.events, 1):
             try:
                 kind, t, rid, value = self._decode(ev)
+                if kind == "history" \
+                        and not 0 <= value[0] <= len(histories[rid]):
+                    raise ValueError("keep %d is not in 0..%d (the previous "
+                                     "length)"
+                                     % (value[0], len(histories[rid])))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(
                     "trace event %d (t=%r) is malformed: %s %s"
@@ -81,10 +113,24 @@ class _Digest:
             prev_t = t
             if kind == "append":
                 self.appends[rid].append((t, value))
+                awaiting[rid].append(value)
             elif kind == "history":
+                h, seen = histories[rid], members[rid]
+                clean = len(seen) == len(h)
+                revoked = _apply(h, *value)
+                if clean:
+                    seen.difference_update(revoked)
+                    seen.update(value[1])
+                else:               # a repeat in h: only a rebuild is exact
+                    seen.clear()
+                    seen.update(h)
+                delta = _Delta(t, *value, len(seen) != len(h),
+                               not seen.issuperset(revoked))
                 self.ordered.append((t, 1, rid, len(self.snapshots[rid]),
-                                     value))
-                self.snapshots[rid].append((t, value))
+                                     delta))
+                self.snapshots[rid].append(delta)
+                self.unseen[rid] += [uid for uid in awaiting.pop(rid, ())
+                                     if uid not in seen]
             elif kind == "insert":
                 self.ordered.append((t, 0, rid) + value)
                 self.inserted[rid].add(value[0])
@@ -92,6 +138,10 @@ class _Digest:
                 self.delivers[rid].append(value)
             elif kind == "send":
                 self.sends[value] += 1
+        for rid, uids in awaiting.items():
+            self.unseen[rid] += uids
+        # rid -> its last history, for every replica with a snapshot
+        self.final = {rid: tuple(h) for rid, h in histories.items()}
 
     def _decode(self, ev):
         """(kind, t, replica, fields) of one event, or KeyError, TypeError
@@ -110,7 +160,7 @@ class _Digest:
         if kind == "append":
             value = (rid, _int(ev["seq"]))
         elif kind == "history":
-            value = tuple(map(_uid, ev["h"]))
+            value = (_int(ev["keep"]), tuple(map(_uid, ev["add"])))
         elif kind == "insert":
             value = (_uid(ev["vertex"]), frozenset(map(_uid, ev["parents"])))
         else:
@@ -126,10 +176,7 @@ def _digest(trace):
 def check_convergence(trace):
     """All correct replicas ended with the same history sequence."""
     d = _digest(trace)
-    finals = {}
-    for rid in d.correct:
-        snaps = d.snapshots.get(rid, [])
-        finals[rid] = snaps[-1][1] if snaps else ()
+    finals = {rid: d.final.get(rid, ()) for rid in d.correct}
     ok = d.quiescent and len(set(finals.values())) <= 1
     return {"name": "convergence", "ok": ok,
             "quiescent": d.quiescent,
@@ -153,7 +200,7 @@ class StabilityReport:
 def stable_prefix(trace) -> StabilityReport:
     d = _digest(trace)
     correct = set(d.correct)
-    snaps = [(t, rid, h) for t, tag, rid, _, h in d.ordered
+    snaps = [(t, rid, delta) for t, tag, rid, _, delta in d.ordered
              if tag == 1 and rid in correct]
 
     issued = {rid: len(d.appends.get(rid, [])) for rid in d.correct}
@@ -162,43 +209,46 @@ def stable_prefix(trace) -> StabilityReport:
         return StabilityReport([], 0, (), {}, {}, issued, d.quiescent, 0,
                                d.correct)
 
-    # longest common prefix of every snapshot in the suffix starting at k
+    # lcp_from[k]: the longest common prefix of the snapshots k, k+1, ...
+    # A prefix length is common to a set of histories when it is common to
+    # each replica's consecutive snapshots, which is what `keep` measures,
+    # and to the replicas' final histories.  For k <= k_star every final
+    # history is in the set, so the running minimum below is exact there;
+    # past k_star it is a lower bound and unused.
+    finals = [d.final[rid] for rid in d.correct if rid in d.final]
+    common = next((i for i, column in enumerate(zip(*finals))
+                   if len(set(column)) > 1), min(map(len, finals)))
     lcp_from = [0] * len(snaps)
-    common = snaps[-1][2]
+    next_keep = {}              # rid -> keep of its snapshot after k
     for k in range(len(snaps) - 1, -1, -1):
-        common = common[:_lcp(common, snaps[k][2])]
-        lcp_from[k] = len(common)
-
-    last_index = {}
-    for k, (_, rid, _) in enumerate(snaps):
-        last_index[rid] = k
-    k_star = min(last_index.values())
+        _, rid, delta = snaps[k]
+        if rid in next_keep:
+            common = min(common, next_keep[rid])
+        else:                   # rid's last snapshot; k_star is the least
+            k_star = k
+        lcp_from[k] = common
+        next_keep[rid] = delta.keep
     final_len = lcp_from[k_star]
-    prefix_value = snaps[-1][2][:final_len]
+    last = d.final[snaps[-1][1]]
 
-    if d.quiescent and len({d.snapshots[r][-1][1] for r in d.correct
-                            if d.snapshots.get(r)}) == 1:
-        stable_history = snaps[-1][2]
+    if d.quiescent and len(set(finals)) == 1:
+        stable_history = last
     else:
-        stable_history = prefix_value
+        stable_history = last[:final_len]
 
     curve = [(snaps[k][0], lcp_from[k]) for k in range(k_star + 1)]
 
     revocations = Counter()
     basis_at_issue = {}
     for rid in d.correct:
-        prev = ()
+        h = []
         seen = set()
-        for _, h in d.snapshots.get(rid, []):
-            cut = _lcp(prev, h)
-            for uid in prev[cut:]:
-                revocations[uid] += 1
-            # h[:cut] is prev[:cut], whose own commands are already seen
-            for pos, uid in enumerate(h[cut:], cut):
+        for delta in d.snapshots.get(rid, []):
+            revocations.update(_apply(h, delta.keep, delta.add))
+            for pos, uid in enumerate(delta.add, delta.keep):
                 if uid[0] == rid and uid not in seen:
                     seen.add(uid)
-                    basis_at_issue[uid] = h[:pos]
-            prev = h
+                    basis_at_issue[uid] = tuple(h[:pos])
 
     return StabilityReport(curve, final_len, stable_history,
                            dict(revocations), basis_at_issue, issued,
@@ -269,9 +319,9 @@ def check_stability(report: StabilityReport, min_fraction=0.0):
 def check_safety(trace, sample: int = 1):
     """The per-trace safety suite; every sub-verdict must hold.
 
-    `sample` thins the reconciliation-equivalence recomputation to every
-    sample-th snapshot (final snapshots always included); all other checks
-    run on everything recorded.
+    `sample` thins the from-scratch `fair`/`lifo` reconciliation to every
+    sample-th snapshot (final snapshots always included); all other checks,
+    `bfs` reconciliation equivalence among them, run on every snapshot.
     """
     d = _digest(trace)
     problems = defaultdict(list)
@@ -286,29 +336,23 @@ def check_safety(trace, sample: int = 1):
                     "replica %d append %d has uid %r" % (rid, i + 1, uid))
             issued.add(uid)
 
-    # Validity of each snapshot, monotonicity and wait-freedom over the
-    # snapshot stream.
+    # Validity of each snapshot's added commands, monotonicity and
+    # wait-freedom over the snapshot stream.
     for rid in range(1, d.n + 1):
-        snaps = d.snapshots.get(rid, [])
-        prev = set()
-        for t, h in snaps:
-            cur = set(h)
-            if len(cur) != len(h):
+        for delta in d.snapshots.get(rid, []):
+            if delta.repeated:
                 problems["validity"].append(
-                    "repeated command in history of %d at t=%d" % (rid, t))
-            for uid in sorted(cur - issued):
+                    "repeated command in history of %d at t=%d"
+                    % (rid, delta.t))
+            for uid in sorted(set(delta.add) - issued):
                 problems["validity"].append(
                     "unissued %r in history of %d" % (uid, rid))
-            if not prev <= cur:
+            if delta.shrank:
                 problems["monotonicity"].append(
-                    "history of %d shrank at t=%d" % (rid, t))
-            prev = cur
-        times = [t for t, _ in snaps]
-        for t, uid in d.appends.get(rid, []):
-            k = bisect_left(times, t)
-            if k == len(snaps) or uid not in snaps[k][1]:
-                problems["wait_freedom"].append(
-                    "command %r missing from issuer snapshot" % (uid,))
+                    "history of %d shrank at t=%d" % (rid, delta.t))
+        for uid in d.unseen.get(rid, []):
+            problems["wait_freedom"].append(
+                "command %r missing from issuer snapshot" % (uid,))
 
     # Reliable broadcast properties.
     for rid in range(1, d.n + 1):
@@ -338,23 +382,30 @@ def check_safety(trace, sample: int = 1):
                 "%d channel sends for %r" % (cnt, uid))
 
     # One pass over inserts and snapshots, in trace order, rebuilds every
-    # replica's DAG.  Each insert is checked against the DAG invariants.
-    # At (sampled) snapshot points the history must equal a from-scratch
-    # reconciliation of the DAG, which also implies RF-Totality per
-    # snapshot.
+    # replica's DAG and history.  Each insert is checked against the DAG
+    # invariants.  At each snapshot under bfs, and at sampled ones
+    # otherwise, the history must equal the reconciliation of the DAG,
+    # which also implies RF-Totality per snapshot.
     recon = get_reconciler(d.recon_name)
     dags = {rid: CommandDag() for rid in range(1, d.n + 1)}
+    histories = defaultdict(list)
+    breaks = defaultdict(list)
     cmds = {}
     first = {}                  # uid -> (parent uids, dist) where first seen
     level_count = defaultdict(Counter)
     for t, tag, rid, key, value in d.ordered:
         dag = dags[rid]
         if tag == 1:
-            i, h = key, value
-            if i != len(d.snapshots[rid]) - 1 and (i + 1) % sample != 0:
+            i, delta = key, value
+            h = histories[rid]
+            _apply(h, delta.keep, delta.add)
+            if recon is f_bfs:
+                same = _level_sorted(dag, cmds, h, delta.keep, breaks[rid])
+            elif i != len(d.snapshots[rid]) - 1 and (i + 1) % sample != 0:
                 continue
-            expect = tuple((c.issuer, c.seq) for c in recon(dag))
-            if expect != h:
+            else:
+                same = [(c.issuer, c.seq) for c in recon(dag)] == h
+            if not same:
                 problems["recon_equivalence"].append(
                     "replica %d snapshot at t=%d != recon(dag)" % (rid, t))
             continue
@@ -394,6 +445,36 @@ def check_safety(trace, sample: int = 1):
         verdict[nm] = {"ok": nm not in problems,
                        "problems": problems.get(nm, [])[:10]}
     return verdict
+
+
+def _level_sorted(dag, cmds, h, keep, breaks):
+    """Whether the history `h`, just changed from position `keep` on, is
+    f_bfs(dag), looking at h[keep - 1:] only.
+
+    `breaks` lists, ascending, the positions i of h where h[i] was not in
+    the DAG when added, or level_key(h[i - 1]) >= level_key(h[i]); it is
+    updated in place.  A strict total key has exactly one sorted
+    permutation, and strict order rules out repeats, so a history with no
+    break and the DAG's length is f_bfs(dag).
+    """
+    while breaks and breaks[-1] >= keep:
+        breaks.pop()
+    prev = None
+    if keep:
+        v = cmds.get(h[keep - 1])
+        if v in dag:            # else keep - 1 is a break already
+            prev = level_key(dag, v)
+    for i in range(keep, len(h)):
+        v = cmds.get(h[i])
+        if v not in dag:
+            breaks.append(i)
+            prev = None
+            continue
+        key = level_key(dag, v)
+        if prev is not None and prev >= key:
+            breaks.append(i)
+        prev = key
+    return not breaks and len(h) == len(dag)
 
 
 def run_all_checks(trace, window: int = 10, sample: int = 1):

@@ -21,7 +21,7 @@ from .checks import run_all_checks
 from .datatype import get_datatype, replay
 from .reconcile import get_reconciler
 from .scenarios import BUILTIN
-from .sim import ConfigError, Scenario, Trace, run
+from .sim import ConfigError, Scenario, Trace, full_histories, run
 
 
 def _check_name(lookup, name):
@@ -89,15 +89,15 @@ def _cmd_fig1(args):
     for recon in ("bfs", "fair"):
         trace = run(fig1_scenario(recon))
         verdicts = run_all_checks(trace)
-        final = [ev for ev in trace.events if ev["kind"] == "history"][-1]
+        *_, (_, final) = full_histories(trace.events)
         ops = {}
         for ev in trace.events:
             if ev["kind"] == "append":
                 ops[(ev["replica"], ev["seq"])] = tuple(ev["op"])
-        history = [ops[(j, s)] for j, s in final["h"]]
+        history = [ops[(j, s)] for j, s in final]
         _, responses = replay(spec, history)
         print("f_%s:" % recon)
-        for (j, s), op, resp in zip(final["h"], history, responses):
+        for (j, s), op, resp in zip(final, history, responses):
             print("  (%s, %d, %d) -> %s" % (" ".join(map(str, op)), j, s,
                                             resp))
         if not verdicts["ok"]:

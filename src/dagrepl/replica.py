@@ -11,7 +11,10 @@ The history is kept up to date by a reconciler session
 which updates the history and reports the first position that changed.
 Data-type states are cached every `_STRIDE` positions plus at the furthest
 position replayed, and a replay resumes from the nearest cached state at or
-before that position instead of from the initial state.
+before that position instead of from the initial state.  `history_delta`
+reports the history as a change against the previous report; its search
+for their longest common prefix starts at the lowest position changed
+since then.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ class Replica:
         # describe the current history.
         self._states = [spec.initial_state]
         self._tip = (0, spec.initial_state)
+        # the history at the last history_delta call, and the lowest
+        # position changed since then
+        self._reported = self.history
+        self._low = 0
 
     @property
     def history(self):
@@ -79,9 +86,24 @@ class Replica:
         self.next_seq += 1
         self._insert(v, parents)
         self._broadcast(BroadcastMessage(v, frozenset(parents)))
-        pos = self.history.index(v)
+        # under bfs and fair a vertex below every leaf is last; lifo puts
+        # it first
+        h = self.history
+        pos = len(h) - 1 if h[-1] is v else h.index(v)
         _, responses = self._replay_to(pos + 1)
         return responses[-1]
+
+    def history_delta(self):
+        """(keep, added): the length of the longest common prefix of the
+        current history with the history at the previous call (or the
+        empty one), and the commands after that prefix."""
+        old, new = self._reported, self.history
+        keep = min(self._low, len(old))
+        # positions below _low are unchanged, so the same objects
+        while keep < len(old) and old[keep] is new[keep]:
+            keep += 1
+        self._reported, self._low = new, len(new)
+        return keep, new[keep:]
 
     def on_deliver(self, msg: BroadcastMessage):
         """Handle an r-delivered vertex, parking it if parents are missing."""
@@ -125,6 +147,7 @@ class Replica:
 
     def _changed_from(self, pos):
         """Drop the cached states past `pos`, where the history changed."""
+        self._low = min(self._low, pos)
         del self._states[pos // _STRIDE + 1:]
         if self._tip[0] > pos:
             self._tip = ((len(self._states) - 1) * _STRIDE, self._states[-1])

@@ -7,6 +7,12 @@ discrete-event loop and returns a Trace: a totally ordered event log with
 per-replica history snapshots, consumed by the checkers in
 `dagrepl.checks`.
 
+A snapshot is a delta (trace schema 2): `keep` is the exact length of the
+longest common prefix with the replica's previous snapshot in the trace,
+and `add` the commands after it, so a snapshot costs the change, not the
+history.  `keep` below the previous length is a revocation.
+`full_histories` decodes the deltas back into full histories.
+
 Timing model: channel delays are drawn from the seeded RNG (or pinned by
 an explicit per-message delivery script); partitions defer deliveries on
 cut links until the partition ends, never dropping them.  A crash
@@ -119,7 +125,7 @@ class Scenario:
             return cls.from_dict(json.load(fh))
 
 
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
 
 def _is_int(x):
@@ -162,6 +168,10 @@ class Trace:
         if not lines or not isinstance(lines[0], dict) \
                 or "schema" not in lines[0]:
             raise ConfigError("not a trace file: %s" % path)
+        if lines[0]["schema"] != TRACE_SCHEMA:
+            raise ConfigError("%s: trace schema %r, not %d; record the "
+                              "trace again" % (path, lines[0]["schema"],
+                                               TRACE_SCHEMA))
         for field, kind, valid in _META_FIELDS:
             node = lines[0]
             for key in field:
@@ -173,6 +183,19 @@ class Trace:
                 raise ConfigError("%s: meta field %s is %r, not %s"
                                   % (path, ".".join(field), node, kind))
         return cls(lines[0], lines[1:])
+
+
+def full_histories(events):
+    """Yield (event, history) for each `history` event of a well-formed
+    trace, where history is a fresh list of the replica's [issuer, seq]
+    pairs after the event's delta."""
+    current = {}
+    for ev in events:
+        if ev["kind"] == "history":
+            rid = ev["replica"]
+            h = current.get(rid, [])[:ev["keep"]] + ev["add"]
+            current[rid] = h
+            yield ev, list(h)
 
 
 def _need(ok, what, value):
@@ -285,9 +308,9 @@ class _Sim:
                or self.handler_count[rid] % self.scenario.snapshot_every == 0
                or self.now >= self.last_input_time)
         if due:
-            hist = self.replicas[rid].history
-            self._emit({"kind": "history", "replica": rid,
-                        "h": [[c.issuer, c.seq] for c in hist]})
+            keep, add = self.replicas[rid].history_delta()
+            self._emit({"kind": "history", "replica": rid, "keep": keep,
+                        "add": [[c.issuer, c.seq] for c in add]})
 
     # --- transport ------------------------------------------------------
 

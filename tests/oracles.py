@@ -102,6 +102,33 @@ def oracle_f_fair(dag):
     return seq
 
 
+def lcp(a, b):
+    """Length of the longest common prefix of two sequences."""
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return n
+
+
+def trace_snapshots(events):
+    """Yield (event, history, dag) at each `history` event of a trace: the
+    replica's full history decoded naively from the deltas, as a list of
+    [issuer, seq], and its DAG rebuilt from the trace's inserts so far
+    (commands without ops; no reconciler reads one)."""
+    histories, dags, cmds = {}, {}, {}
+    for ev in events:
+        rid = ev.get("replica")
+        if ev["kind"] == "insert":
+            v = cmds.setdefault(tuple(ev["vertex"]),
+                                Command((), *ev["vertex"]))
+            parents = {cmds.get(tuple(p), tuple(p)) for p in ev["parents"]}
+            dags.setdefault(rid, CommandDag()).insert(v, parents or {EPSILON})
+        elif ev["kind"] == "history":
+            old = histories.get(rid, [])
+            h = histories[rid] = old[:ev["keep"]] + ev["add"]
+            yield ev, h, dags.setdefault(rid, CommandDag())
+
+
 # --- DAG generation -----------------------------------------------------
 #
 # Protocol-shaped DAGs: a new vertex of issuer j hangs below the leaves of

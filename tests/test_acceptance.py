@@ -23,7 +23,7 @@ from dagrepl.reconcile import f_bfs, f_fair, f_lifo
 from dagrepl.scenarios import FIG1_BFS_ORDER, FIG1_FAIR_ORDER, \
     STARVATION_VICTIM, continuous_scenario, fig1_scenario, random_scenario, \
     starvation_scenario
-from dagrepl.sim import run
+from dagrepl.sim import full_histories, run
 
 from oracles import enumerate_protocol_dags, oracle_f_bfs, oracle_f_fair, \
     random_protocol_dag
@@ -91,12 +91,12 @@ def test_criterion_1_worked_example(capsys):
     got = {}
     for recon in ("bfs", "fair"):
         trace = run(fig1_scenario(recon))
-        finals = [ev for ev in trace.events if ev["kind"] == "history"]
+        *_, (_, final) = full_histories(trace.events)
         ops = {}
         for ev in trace.events:
             if ev["kind"] == "append":
                 ops[(ev["replica"], ev["seq"])] = tuple(ev["op"])
-        order = [tuple(u) for u in finals[-1]["h"]]
+        order = [tuple(u) for u in final]
         _, responses = replay(spec, [ops[u] for u in order])
         got[recon] = (order, responses)
     elapsed = time.perf_counter() - t0

@@ -4,14 +4,30 @@ import pytest
 
 from dagrepl.checks import check_convergence, check_safety, check_stability, \
     fairness_report, run_all_checks, stable_prefix
-from dagrepl.sim import Trace, run
+from dagrepl.reconcile import f_bfs
+from dagrepl.sim import Trace, full_histories, run
 from dagrepl.scenarios import STARVATION_VICTIM, continuous_scenario, \
     fig1_scenario, random_scenario, starvation_scenario
 
+from oracles import lcp, trace_snapshots
+
 
 def _mutated(trace, fn):
+    """A copy of `trace` changed by `fn`, which sees each history event's
+    full history as `h`; the histories `fn` leaves are encoded back as
+    deltas with exact `keep`."""
     t = Trace(copy.deepcopy(trace.meta), copy.deepcopy(trace.events))
+    for ev, h in list(full_histories(t.events)):
+        ev["h"] = h
+        del ev["keep"], ev["add"]
     fn(t)
+    prev = {}
+    for ev in t.events:
+        if ev["kind"] == "history":
+            h = ev.pop("h")
+            keep = lcp(prev.get(ev["replica"], []), h)
+            ev.update(keep=keep, add=h[keep:])
+            prev[ev["replica"]] = h
     return t
 
 
@@ -65,10 +81,8 @@ def test_stability_continuous_lifo_never_stabilizes():
 def test_stability_quiescent_prefix_is_full_history(random_trace):
     report = stable_prefix(random_trace)
     assert report.quiescent
-    finals = {}
-    for ev in random_trace.events:
-        if ev["kind"] == "history":
-            finals[ev["replica"]] = tuple(tuple(u) for u in ev["h"])
+    finals = {ev["replica"]: tuple(map(tuple, h))
+              for ev, h in full_histories(random_trace.events)}
     assert report.stable_history in set(finals.values())
 
 
@@ -133,6 +147,78 @@ def test_safety_detects_wrong_order(random_trace):
         hits[-1]["h"] = list(reversed(hits[-1]["h"]))
     verdict = check_safety(_mutated(random_trace, corrupt))
     assert not verdict["recon_equivalence"]["ok"]
+
+
+def _history_pairs(t):
+    """(event, previous history of its replica) for each history event."""
+    prev = {}
+    for ev in t.events:
+        if ev["kind"] == "history":
+            yield ev, prev.get(ev["replica"], [])
+            prev[ev["replica"]] = ev["h"]
+
+
+def _append_instead_of_insert(t):
+    # a snapshot that gained one command inside the history gets it last
+    for ev, old in _history_pairs(t):
+        h = ev["h"]
+        k = lcp(old, h)
+        if len(h) == len(old) + 1 and k < len(old) and h[k + 1:] == old[k:]:
+            ev["h"] = old + [h[k]]
+            return
+    raise AssertionError("no insert inside a history")
+
+
+def _swap_added(t):
+    # two adjacent added commands of one snapshot trade places
+    for ev, old in _history_pairs(t):
+        h = ev["h"]
+        k = lcp(old, h)
+        if len(h) - k >= 2:
+            ev["h"] = h[:k] + [h[k + 1], h[k]] + h[k + 2:]
+            return
+    raise AssertionError("no snapshot adds two commands")
+
+
+def _lasting_swap(t):
+    # from some snapshot on, a replica's first two commands trade places
+    rid = next(ev["replica"] for ev in t.events
+               if ev["kind"] == "history" and len(ev["h"]) > 1)
+    for ev in t.events:
+        if ev["kind"] == "history" and ev["replica"] == rid:
+            h = ev["h"]
+            ev["h"] = h[1::-1] + h[2:]
+
+
+def _dropped_command(t):
+    # a snapshot in mid-trace misses its last command
+    hits = [ev for ev in t.events if ev["kind"] == "history"
+            and len(ev["h"]) > 1]
+    ev = hits[len(hits) // 2]
+    ev["h"] = ev["h"][:-1]
+
+
+def _foreign_command(t):
+    # a snapshot's last command is replaced by one no replica inserted
+    ev = next(ev for ev in t.events if ev["kind"] == "history"
+              and len(ev["h"]) > 1)
+    ev["h"] = ev["h"][:-1] + [[99, 1]]
+
+
+@pytest.mark.parametrize("spoil", [_append_instead_of_insert, _swap_added,
+                                   _lasting_swap, _dropped_command,
+                                   _foreign_command])
+def test_bfs_recon_equivalence_matches_from_scratch(spoil):
+    # under bfs the checker tests each snapshot on its delta; it must flag
+    # the very snapshots that a from-scratch f_bfs comparison flags
+    bad = _mutated(run(random_scenario(21, "bfs")), spoil)
+    expect = ["replica %d snapshot at t=%d != recon(dag)"
+              % (ev["replica"], ev["t"])
+              for ev, h, dag in trace_snapshots(bad.events)
+              if h != [[c.issuer, c.seq] for c in f_bfs(dag)]]
+    got = check_safety(bad)["recon_equivalence"]
+    assert expect and not got["ok"]
+    assert got["problems"] == expect[:10]
 
 
 def _foreign_inserts_with_parents(t):

@@ -197,7 +197,44 @@ def _send_without_t(path):
 
 def _short_history_element(path):
     def edit(events):
-        _first(events, "history")["h"].append([1])
+        _first(events, "history")["add"].append([1])
+    _edit_events(path, edit)
+
+
+def _schema_1(path):
+    _edit_meta(path, lambda meta: meta.update(schema=1))
+
+
+def _string_keep(path):
+    def edit(events):
+        _first(events, "history")["keep"] = "0"
+    _edit_events(path, edit)
+
+
+def _negative_keep(path):
+    def edit(events):
+        _first(events, "history")["keep"] = -1
+    _edit_events(path, edit)
+
+
+def _keep_above_previous(path):
+    def edit(events):
+        ev = _first(events, "history")
+        ev["keep"] = len(ev["add"]) + 1
+    _edit_events(path, edit)
+
+
+def _history_without_delta(path):
+    def edit(events):
+        ev = _first(events, "history")
+        ev["h"] = ev.pop("add")
+        del ev["keep"]
+    _edit_events(path, edit)
+
+
+def _string_add_element(path):
+    def edit(events):
+        _first(events, "history")["add"] = ["ab"]
     _edit_events(path, edit)
 
 
@@ -222,13 +259,37 @@ def _unknown_kind(path):
                                    _short_history_element,
                                    _append_without_seq, _unknown_kind,
                                    _string_n, _integer_crashed, _list_recon,
-                                   _string_quiescent])
+                                   _string_quiescent, _schema_1,
+                                   _string_keep, _negative_keep,
+                                   _keep_above_previous,
+                                   _history_without_delta,
+                                   _string_add_element])
 def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
     path = _fig1_trace(tmp_path)
     spoil(path)
     capsys.readouterr()
     assert main(["check", "--trace", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_added_repeat_of_kept_command_fails_validity(capsys, tmp_path):
+    path = _fig1_trace(tmp_path)
+    report = tmp_path / "report.json"
+
+    def edit(events):
+        # a later snapshot of a replica adds its first command again
+        snaps = [ev for ev in events if ev["kind"] == "history"]
+        first = snaps[0]
+        later = next(ev for ev in snaps[1:]
+                     if ev["replica"] == first["replica"] and ev["keep"])
+        later["add"].append(first["add"][0])
+    _edit_events(path, edit)
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path),
+                 "--report-out", str(report)]) == 1
+    safety = json.loads(report.read_text())["verdicts"]["safety"]
+    assert not safety["validity"]["ok"]
+    assert "repeated command" in safety["validity"]["problems"][0]
 
 
 def test_check_blames_the_event_out_of_order(capsys, tmp_path):

@@ -3,17 +3,18 @@ import json
 import pytest
 
 from dagrepl.checks import check_convergence, check_safety
-from dagrepl.sim import ConfigError, Partition, Scenario, Trace, run
+from dagrepl.reconcile import get_reconciler
+from dagrepl.sim import ConfigError, Partition, Scenario, Trace, \
+    full_histories, run
 from dagrepl.scenarios import FIG1_BFS_ORDER, FIG1_FAIR_ORDER, \
-    fig1_scenario, random_scenario
+    continuous_scenario, fig1_scenario, random_scenario
+
+from oracles import lcp, oracle_f_fair, trace_snapshots
 
 
 def _final_histories(trace):
-    finals = {}
-    for ev in trace.events:
-        if ev["kind"] == "history":
-            finals[ev["replica"]] = [tuple(u) for u in ev["h"]]
-    return finals
+    return {ev["replica"]: [tuple(u) for u in h]
+            for ev, h in full_histories(trace.events)}
 
 
 def test_single_replica_degenerate():
@@ -128,7 +129,7 @@ def test_trace_jsonl_roundtrip(tmp_path):
     assert again.events == trace.events
     with open(path) as fh:
         first = json.loads(fh.readline())
-    assert first["schema"] == 1
+    assert first["schema"] == 2
 
 
 def test_trace_from_jsonl_rejects_non_trace(tmp_path):
@@ -164,3 +165,26 @@ def test_crashed_replica_is_silent(recon):
             if ev["kind"] == "crash":
                 crashed.add(ev["replica"])
         assert crashed == {sc.crashes[0][0]}
+
+
+@pytest.mark.parametrize("build, recon", [(random_scenario, "bfs"),
+                                          (random_scenario, "fair"),
+                                          (continuous_scenario, "lifo")])
+@pytest.mark.parametrize("every", [1, 10])
+def test_keep_is_exact(build, recon, every):
+    # every keep is the naive LCP of consecutive decoded snapshots, and
+    # every decoded snapshot is the reconciliation of the DAG rebuilt
+    # from the trace's inserts
+    reconcile = oracle_f_fair if recon == "fair" else get_reconciler(recon)
+    revoked = 0
+    for seed in range(8):
+        sc = build(seed, recon, commands=30, snapshot_every=every)
+        prev = {}
+        for ev, h, dag in trace_snapshots(run(sc).events):
+            old = prev.get(ev["replica"], [])
+            assert ev["keep"] == lcp(old, h), (seed, ev)
+            revoked += len(old) - ev["keep"]
+            assert h == [[c.issuer, c.seq] for c in reconcile(dag)], \
+                (seed, ev)
+            prev[ev["replica"]] = h
+    assert revoked > 0
