@@ -41,7 +41,9 @@ def _int(x):
 
 def _uid(x):
     issuer, seq = x
-    return _int(issuer), _int(seq)
+    if type(issuer) is not int or type(seq) is not int:
+        raise TypeError("%r is not a pair of integers" % (x,))
+    return issuer, seq
 
 
 class _Delta(NamedTuple):
@@ -111,7 +113,9 @@ class _Digest:
                 raise ConfigError("trace event %d has t=%d, not above the "
                                   "previous event's t=%d" % (pos, t, prev_t))
             prev_t = t
-            if kind == "append":
+            if kind == "send":
+                self.sends[value] += 1
+            elif kind == "append":
                 self.appends[rid].append((t, value))
                 awaiting[rid].append(value)
             elif kind == "history":
@@ -136,8 +140,6 @@ class _Digest:
                 self.inserted[rid].add(value[0])
             elif kind == "deliver":
                 self.delivers[rid].append(value)
-            elif kind == "send":
-                self.sends[value] += 1
         for rid, uids in awaiting.items():
             self.unseen[rid] += uids
         # rid -> its last history, for every replica with a snapshot
@@ -146,12 +148,14 @@ class _Digest:
     def _decode(self, ev):
         """(kind, t, replica, fields) of one event, or KeyError, TypeError
         or ValueError for a missing or malformed field or an unknown kind."""
-        kind, t = ev["kind"], _int(ev["t"])
+        kind, t = ev["kind"], ev["t"]
+        if type(t) is not int:
+            raise TypeError("t %r is not an integer" % (t,))
+        if kind == "send":          # most events are sends
+            return kind, t, None, _uid(ev["uid"])
         if kind in ("append_bottom", "crash", "partition_start",
                     "partition_end"):       # nothing read but `t`
             return kind, t, None, None
-        if kind == "send":
-            return kind, t, None, _uid(ev["uid"])
         if kind not in ("append", "history", "insert", "deliver"):
             raise ValueError("unknown event kind %r" % (kind,))
         rid = _int(ev["replica"])

@@ -48,10 +48,37 @@ def _load_scenario(spec: str, seed, recon) -> Scenario:
     return scenario
 
 
+def _first_problems(name, v):
+    """One line per reason a failed verdict failed, naming its first
+    problem."""
+    if name == "safety":
+        return ["%s: %s" % (sub, r["problems"][0])
+                for sub, r in v.items()
+                if isinstance(r, dict) and not r["ok"]]
+    if name == "fairness":
+        lines = []
+        missing = v["missing_from_stable"]
+        if missing:
+            lines.append("missing from the stable prefix: %s, first of %d"
+                         % (tuple(missing[0]), len(missing)))
+        starving = [str(rid) for rid, s in v["starvation"].items()
+                    if s == "fail"]
+        if starving:
+            lines.append("starving replicas: %s" % ", ".join(starving))
+        return lines
+    if name == "convergence":
+        return ["%d distinct final histories"
+                % v["distinct_final_histories"]]
+    return []
+
+
 def _print_verdicts(verdicts):
     for name, v in verdicts.items():
         if isinstance(v, dict):
             print("%-12s %s" % (name, "PASS" if v["ok"] else "FAIL"))
+            if not v["ok"]:
+                for line in _first_problems(name, v):
+                    print("  " + line)
     return 0 if verdicts["ok"] else 1
 
 

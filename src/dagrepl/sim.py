@@ -11,7 +11,9 @@ A snapshot is a delta (trace schema 2): `keep` is the exact length of the
 longest common prefix with the replica's previous snapshot in the trace,
 and `add` the commands after it, so a snapshot costs the change, not the
 history.  `keep` below the previous length is a revocation.
-`full_histories` decodes the deltas back into full histories.
+`full_histories` decodes the deltas back into full histories.  A trace
+file holds one compact, sorted-key JSON value per line; reading takes
+any spacing that per-line `json.loads` takes.
 
 Timing model: channel delays are drawn from the seeded RNG (or pinned by
 an explicit per-message delivery script); partitions defer deliveries on
@@ -44,11 +46,6 @@ class Partition:
     links: list          # [(a, b), ...]; each link is cut in both directions
     start: int
     end: int
-
-    def cuts(self, src, dst, at):
-        if not (self.start <= at < self.end):
-            return False
-        return any({src, dst} == {a, b} for a, b in self.links)
 
 
 @dataclass
@@ -142,29 +139,62 @@ _META_FIELDS = (
 )
 
 
+# One encoder for every line: compact JSON with sorted keys, so a trace
+# file is deterministic bytes.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_scan = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+
+
+def _read_jsonl(path):
+    """The JSON values of the non-blank lines of `path`, in order.
+
+    It accepts and rejects exactly the lines that per-line `json.loads`
+    does: a line is one JSON value with optional JSON whitespace around it.
+    The C scanner parses each line; `json.loads` runs only on a line the
+    scanner rejected, for its error message.
+    """
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for number, line in enumerate(fh, 1):
+                text = line.strip(_JSON_SPACE)
+                try:
+                    value, end = _scan(text, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = None
+                if end == len(text):
+                    values.append(value)
+                elif line.strip():
+                    raise ConfigError("%s: line %d is not JSON (%s)"
+                                      % (path, number, _json_error(line)))
+        except UnicodeDecodeError as exc:
+            raise ConfigError("%s is not UTF-8 text (%s)"
+                              % (path, exc)) from None
+    return values
+
+
+def _json_error(line):
+    """Why per-line `json.loads` rejects `line`."""
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        return exc
+
+
 class Trace:
     def __init__(self, meta, events):
         self.meta = meta
         self.events = events
 
     def to_jsonl(self, path):
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.meta, sort_keys=True) + "\n")
-            for ev in self.events:
-                fh.write(json.dumps(ev, sort_keys=True) + "\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(_encode(ev) + "\n"
+                          for ev in [self.meta, *self.events])
 
     @classmethod
     def from_jsonl(cls, path):
-        lines = []
-        with open(path) as fh:
-            for number, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    lines.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ConfigError("%s: line %d is not JSON (%s)"
-                                      % (path, number, exc)) from None
+        lines = _read_jsonl(path)
         if not lines or not isinstance(lines[0], dict) \
                 or "schema" not in lines[0]:
             raise ConfigError("not a trace file: %s" % path)
@@ -270,6 +300,10 @@ class _Sim:
         self.flush_base = (max(times, default=0)) + 1000
         self.flush_tick = 0
         self.quiescent = False
+        # (start, end, the (src, dst) pairs it cuts) of each partition
+        self.cuts = [(p.start, p.end,
+                      {pair for a, b in p.links for pair in ((a, b), (b, a))})
+                     for p in scenario.partitions]
 
         ids = list(range(1, scenario.n + 1))
         self.rb = ReliableBroadcast(ids, self._send, self._rb_deliver)
@@ -331,9 +365,9 @@ class _Sim:
         moved = True
         while moved:
             moved = False
-            for p in sc.partitions:
-                if p.cuts(src, dst, at):
-                    at = p.end
+            for start, end, pairs in self.cuts:
+                if start <= at < end and (src, dst) in pairs:
+                    at = end
                     moved = True
         if not sc.quiescence_flush and at > self.last_input_time:
             return None

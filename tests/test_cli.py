@@ -110,6 +110,11 @@ def _edit_meta(path, edit):
     path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
 
 
+def _not_utf8(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:40] + b"\xff" + data[41:])
+
+
 def _drop_crashed(path):
     _edit_meta(path, lambda meta: meta.pop("crashed"))
 
@@ -250,8 +255,9 @@ def _unknown_kind(path):
     _edit_events(path, edit)
 
 
-@pytest.mark.parametrize("spoil", [_truncate, _drop_crashed, _bogus_recon,
-                                   _unknown_parent, _repeated_insert,
+@pytest.mark.parametrize("spoil", [_truncate, _not_utf8, _drop_crashed,
+                                   _bogus_recon, _unknown_parent,
+                                   _repeated_insert,
                                    _insert_outside_replicas,
                                    _history_outside_replicas,
                                    _no_kind, _short_vertex,
@@ -272,10 +278,7 @@ def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
     assert "error:" in capsys.readouterr().err
 
 
-def test_added_repeat_of_kept_command_fails_validity(capsys, tmp_path):
-    path = _fig1_trace(tmp_path)
-    report = tmp_path / "report.json"
-
+def _repeat_kept_command(path):
     def edit(events):
         # a later snapshot of a replica adds its first command again
         snaps = [ev for ev in events if ev["kind"] == "history"]
@@ -284,12 +287,62 @@ def test_added_repeat_of_kept_command_fails_validity(capsys, tmp_path):
                      if ev["replica"] == first["replica"] and ev["keep"])
         later["add"].append(first["add"][0])
     _edit_events(path, edit)
+
+
+def test_added_repeat_of_kept_command_fails_validity(capsys, tmp_path):
+    path = _fig1_trace(tmp_path)
+    report = tmp_path / "report.json"
+    _repeat_kept_command(path)
     capsys.readouterr()
     assert main(["check", "--trace", str(path),
                  "--report-out", str(report)]) == 1
     safety = json.loads(report.read_text())["verdicts"]["safety"]
     assert not safety["validity"]["ok"]
     assert "repeated command" in safety["validity"]["problems"][0]
+
+
+def test_failed_verdict_prints_its_first_problems(capsys, tmp_path):
+    path = _fig1_trace(tmp_path)
+    report = tmp_path / "report.json"
+    _repeat_kept_command(path)
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path),
+                 "--report-out", str(report)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    safety = json.loads(report.read_text())["verdicts"]["safety"]
+    failed = [name for name, v in safety.items()
+              if isinstance(v, dict) and not v["ok"]]
+    assert "validity" in failed
+    at = out.index("safety       FAIL")
+    assert sorted(out[at + 1:at + 1 + len(failed)]) == [
+        "  %s: %s" % (name, safety[name]["problems"][0]) for name in failed]
+    assert out[at + 1].startswith("  validity: repeated command in history")
+    # a passing verdict prints no detail
+    assert out[at + 1 + len(failed)] == "stability    PASS"
+
+
+def test_failed_fairness_names_the_starving_replica(capsys):
+    assert main(["run", "--scenario", "starvation", "--recon", "bfs",
+                 "--window", "5"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("fairness     FAIL")
+    assert out[at + 1] == "  starving replicas: 2"
+    assert out[at + 2] == "convergence  PASS"
+
+
+def test_failed_fairness_and_convergence_print_their_counts(capsys):
+    verdicts = {"fairness": {"name": "fairness", "ok": False,
+                             "missing_from_stable": [(1, 4), (2, 1)],
+                             "starvation": {1: "pass", 2: "indeterminate"}},
+                "convergence": {"name": "convergence", "ok": False,
+                                "distinct_final_histories": 2},
+                "ok": False}
+    assert cli._print_verdicts(verdicts) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "fairness     FAIL",
+        "  missing from the stable prefix: (1, 4), first of 2",
+        "convergence  FAIL",
+        "  2 distinct final histories"]
 
 
 def test_check_blames_the_event_out_of_order(capsys, tmp_path):

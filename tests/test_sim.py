@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from dagrepl.checks import check_convergence, check_safety
+from dagrepl import sim
+from dagrepl.checks import check_convergence, check_safety, run_all_checks
+from dagrepl.cli import main
 from dagrepl.reconcile import get_reconciler
 from dagrepl.sim import ConfigError, Partition, Scenario, Trace, \
     full_histories, run
@@ -188,3 +190,101 @@ def test_keep_is_exact(build, recon, every):
                 (seed, ev)
             prev[ev["replica"]] = h
     assert revoked > 0
+
+
+def _respaced(path, tmp_path):
+    """The trace at `path` rewritten with default `json.dumps` spacing,
+    keys in reverse order, a blank line, a line with surrounding spaces
+    and no final newline."""
+    lines = [json.dumps(dict(sorted(json.loads(line).items(), reverse=True)))
+             for line in path.read_text().splitlines()]
+    lines.insert(2, "")
+    lines[3] = " \t%s  " % lines[3]
+    other = tmp_path / "respaced.jsonl"
+    other.write_text("\n".join(lines))
+    return other
+
+
+def test_trace_reads_any_spacing(tmp_path):
+    trace = run(random_scenario(3, "fair", commands=40))
+    path = tmp_path / "t.jsonl"
+    trace.to_jsonl(path)
+    # compact JSON with sorted keys, one value per line
+    first = path.read_text().splitlines()[1]
+    assert ", " not in first and ": " not in first
+    assert list(json.loads(first)) == sorted(json.loads(first))
+    compact = Trace.from_jsonl(path)
+    again = Trace.from_jsonl(_respaced(path, tmp_path))
+    assert again.meta == compact.meta == trace.meta
+    assert again.events == compact.events == trace.events
+    assert run_all_checks(again) == run_all_checks(compact)
+
+
+def _per_line_json_loads(path):
+    """The reference reader: `json.loads` of every non-blank line."""
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    values.append(json.loads(line))
+                except json.JSONDecodeError:
+                    return number
+    return values
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": 1}\n\n  [2] \n\t3\r\n"x"',
+    '"abc\n def"\n',
+    '[1\n],[2]\n',
+    '1],[2\n',
+    '{"a": 1} {"b": 2}\n',
+    '{"a": 1}{"b": 2}\n',
+    '1 2\n',
+    '\x0c\n{"a": 1}\n',
+    '\x0c{"a": 1}\n',
+    '{"a": 1}\x0c\n',
+    '\u3000[1]\n',
+    '\ufeff[1]\n',
+    '[Infinity, -Infinity, 1e5, -0.5]\n',
+    '[1.]\n',
+    '[-]\n',
+    'tru\n',
+    'null\n',
+    '"\u2028 \\u2029 "\n',
+    '"tab\there"\n',
+    '[1]\r[2]\r\n[3]',
+    '{"a": 1}\n{"b": ',
+], ids=range(21))
+def test_reader_matches_per_line_json_loads(tmp_path, text):
+    path = tmp_path / "lines.jsonl"
+    path.write_text(text, encoding="utf-8")
+    expected = _per_line_json_loads(path)
+    if isinstance(expected, list):
+        assert sim._read_jsonl(path) == expected
+    else:
+        with pytest.raises(ConfigError, match="line %d is not JSON"
+                           % expected):
+            sim._read_jsonl(path)
+
+
+def _two_values_on_one_line(path):
+    lines = path.read_text().splitlines()
+    lines[4] += " " + lines[5]
+    path.write_text("\n".join(lines) + "\n")
+    return 5
+
+
+def _cut_mid_line(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:6]) + "\n" + lines[6][:20])
+    return 7
+
+
+@pytest.mark.parametrize("spoil", [_two_values_on_one_line, _cut_mid_line])
+def test_bad_line_is_usage_error_naming_it(capsys, tmp_path, spoil):
+    path = tmp_path / "t.jsonl"
+    run(fig1_scenario("bfs")).to_jsonl(path)
+    number = spoil(path)
+    assert main(["check", "--trace", str(path)]) == 2
+    assert "line %d is not JSON" % number in capsys.readouterr().err
