@@ -194,7 +194,7 @@ class StabilityReport:
     final_len: int
     stable_history: tuple             # tuple of (issuer, seq)
     revocations: dict                 # uid -> revocation count
-    basis_at_issue: dict              # uid -> basis tuple (issuer view)
+    retained: set                     # own uids issued on a stable basis
     issued: dict                      # rid -> successfully issued count
     quiescent: bool
     t_stable_start: int               # trace step the tail window opens at
@@ -210,7 +210,7 @@ def stable_prefix(trace) -> StabilityReport:
     issued = {rid: len(d.appends.get(rid, [])) for rid in d.correct}
 
     if not snaps:
-        return StabilityReport([], 0, (), {}, {}, issued, d.quiescent, 0,
+        return StabilityReport([], 0, (), {}, set(), issued, d.quiescent, 0,
                                d.correct)
 
     # lcp_from[k]: the longest common prefix of the snapshots k, k+1, ...
@@ -242,20 +242,30 @@ def stable_prefix(trace) -> StabilityReport:
 
     curve = [(snaps[k][0], lcp_from[k]) for k in range(k_star + 1)]
 
+    # An own command keeps its basis when the issuer's history up to it, at
+    # its first snapshot there, is the stable history up to it; `lcp`
+    # tracks the issuer's common prefix with the stable history per delta.
+    pos = {uid: i for i, uid in enumerate(stable_history)}
     revocations = Counter()
-    basis_at_issue = {}
+    retained = set()
     for rid in d.correct:
         h = []
         seen = set()
+        lcp = 0
         for delta in d.snapshots.get(rid, []):
             revocations.update(_apply(h, delta.keep, delta.add))
-            for pos, uid in enumerate(delta.add, delta.keep):
+            lcp = min(lcp, delta.keep)
+            end = min(len(h), len(stable_history))
+            while lcp < end and h[lcp] == stable_history[lcp]:
+                lcp += 1
+            for i, uid in enumerate(delta.add, delta.keep):
                 if uid[0] == rid and uid not in seen:
                     seen.add(uid)
-                    basis_at_issue[uid] = tuple(h[:pos])
+                    if pos.get(uid) == i <= lcp:
+                        retained.add(uid)
 
     return StabilityReport(curve, final_len, stable_history,
-                           dict(revocations), basis_at_issue, issued,
+                           dict(revocations), retained, issued,
                            d.quiescent, snaps[k_star][0], d.correct)
 
 
@@ -271,7 +281,6 @@ def fairness_report(trace, report: StabilityReport, window: int = 10):
     d = _digest(trace)
     stable = report.stable_history
     stable_set = set(stable)
-    pos = {uid: i for i, uid in enumerate(stable)}
 
     missing = []
     indeterminate = 0
@@ -291,9 +300,8 @@ def fairness_report(trace, report: StabilityReport, window: int = 10):
         if len(tail) < window:
             starvation[rid] = "indeterminate"
             continue
-        retained = [uid for uid in tail
-                    if report.basis_at_issue.get(uid) == stable[:pos[uid]]]
-        starvation[rid] = "pass" if retained else "fail"
+        starvation[rid] = ("pass" if report.retained.intersection(tail)
+                           else "fail")
 
     ok = not missing and all(v != "fail" for v in starvation.values())
     return {"name": "fairness", "ok": ok,

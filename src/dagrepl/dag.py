@@ -1,10 +1,11 @@
 """The collaboratively constructed command DAG.
 
 Vertices are commands (operation, issuer, sequence number) hanging off a
-synthetic root EPSILON.  The DAG caches, per vertex, its greatest distance
-from the root and its causal past (as a bitmask over insertion indices);
-both are immutable once the vertex is inserted, because a vertex's parent
-set never changes.
+synthetic root EPSILON.  The DAG caches, per vertex, its level key
+(greatest distance from the root, issuer, seq) and its causal past (as a
+bitmask over insertion indices); both are immutable once the vertex is
+inserted, because a vertex's parent set never changes.  It also keeps each
+issuer's chain: the issuer's commands in ascending seq order.
 
 CommandDag is append-only: insert adds one vertex in place, and nothing
 ever removes a vertex or changes one already inserted.
@@ -12,8 +13,9 @@ ever removes a vertex or changes one already inserted.
 
 from __future__ import annotations
 
-from functools import partial
+from bisect import insort
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -58,16 +60,19 @@ EPSILON = _Root()
 
 
 class CommandDag:
-    """Append-only command DAG with cached distances and causal pasts."""
+    """Append-only command DAG with cached level keys, causal pasts and
+    issuer chains."""
 
-    __slots__ = ("_parents", "_dist", "_past", "_order", "_childless")
+    __slots__ = ("_parents", "_key", "_past", "_order", "_childless",
+                 "_chains")
 
     def __init__(self):
         self._parents = {}        # Command -> frozenset of parents
-        self._dist = {}           # Command -> int
+        self._key = {}            # Command -> (dist, issuer, seq)
         self._past = {}           # Command -> bitmask incl. own bit
         self._order = []          # commands in insertion order
         self._childless = set()   # commands with no outgoing edge
+        self._chains = {}         # issuer -> its commands, ascending seq
 
     def __len__(self):
         return len(self._order)
@@ -78,6 +83,14 @@ class CommandDag:
     def commands(self):
         """All commands, in local insertion order (a snapshot)."""
         return tuple(self._order)
+
+    def chains(self):
+        """issuer -> its commands by ascending seq (live; do not mutate)."""
+        return self._chains
+
+    def past_masks(self):
+        """Command -> its past_mask (live; do not mutate)."""
+        return self._past
 
     def parents_of(self, v):
         try:
@@ -101,8 +114,8 @@ class CommandDag:
             if p is not EPSILON and p not in self._parents:
                 raise MissingParent(repr(p))
         self._parents[v] = parents
-        self._dist[v] = 1 + max(
-            0 if p is EPSILON else self._dist[p] for p in parents)
+        self._key[v] = (1 + max(0 if p is EPSILON else self._key[p][0]
+                                for p in parents), v.issuer, v.seq)
         mask = 1 << len(self._order)
         for p in parents:
             if p is not EPSILON:
@@ -111,6 +124,11 @@ class CommandDag:
         self._order.append(v)
         self._childless -= parents
         self._childless.add(v)
+        chain = self._chains.setdefault(v.issuer, [])
+        if chain and chain[-1].seq > v.seq:     # never in the protocol
+            insort(chain, v, key=attrgetter("seq"))     # after equal seqs
+        else:
+            chain.append(v)
 
     def leaves(self):
         """Vertices with no outgoing edge; {EPSILON} on the empty DAG."""
@@ -119,12 +137,7 @@ class CommandDag:
         return set(self._childless)
 
     def dist(self, v) -> int:
-        if v is EPSILON:
-            return 0
-        try:
-            return self._dist[v]
-        except KeyError:
-            raise UnknownVertex(repr(v)) from None
+        return 0 if v is EPSILON else level_key(self, v)[0]
 
     def past_mask(self, v) -> int:
         """Bitmask of past(v) over insertion indices, including v itself."""
@@ -151,7 +164,10 @@ class CommandDag:
 
 def level_key(dag: CommandDag, c):
     """(dist, issuer, seq): the level order, fixed once `c` is in `dag`."""
-    return (dag.dist(c), c.issuer, c.seq)
+    try:
+        return dag._key[c]
+    except KeyError:
+        raise UnknownVertex(repr(c)) from None
 
 
 def topo_sort(dag: CommandDag, subset):
@@ -160,7 +176,10 @@ def topo_sort(dag: CommandDag, subset):
     An edge u -> w forces dist(u) < dist(w), so sorting by the key is a
     topological order of any subset.
     """
-    return sorted(subset, key=partial(level_key, dag))
+    try:
+        return sorted(subset, key=dag._key.__getitem__)
+    except KeyError as exc:
+        raise UnknownVertex(repr(exc.args[0])) from None
 
 
 # --- textual DAG fixtures ----------------------------------------------------

@@ -57,51 +57,38 @@ def f_fair(dag: CommandDag):
     whole sequence built so far; the smallest qualifying sequence number
     wins.  The loop stops after a full cycle with no qualifying issuer,
     then the leftover vertices are appended in one topological batch.
+
+    It scans the DAG's issuer chains by past mask.  The built sequence is
+    one leader's causal past, so down-closed, and past(v) holds v: v
+    qualifies iff its mask p strictly contains the sequence's mask s, that
+    is `s | p == p != s`.
     """
-    cmds = dag.commands()
-    if not cmds:
-        return []
-    procs = sorted({c.issuer for c in cmds})
-    by_proc = {j: [] for j in procs}
-    for c in cmds:
-        by_proc[c.issuer].append(c)
-    for lst in by_proc.values():
-        lst.sort(key=lambda c: c.seq)
-    # Scan pointers only ever move forward: an issuer's causal pasts grow
-    # with its sequence numbers, and the built sequence only grows, so a
-    # vertex that failed the coverage test never passes it later.
-    ptr = {j: 0 for j in procs}
-    bit = {c: 1 << i for i, c in enumerate(cmds)}
-    past = dag.past_mask
+    procs = sorted(dag.chains())
+    past = dag.past_masks().__getitem__
+    pasts = [list(map(past, dag.chains()[j])) for j in procs]
+    # Scan pointers only ever move forward: the built sequence only grows,
+    # so a vertex that is ordered or fails the coverage test never
+    # qualifies later.
+    ptr = [0] * len(procs)
     seq = []
     seq_mask = 0
     rr = 0
     misses = 0
     while misses < len(procs):
-        j = procs[rr]
-        rr = (rr + 1) % len(procs)
-        lst = by_proc[j]
-        k = ptr[j]
-        leader = None
-        while k < len(lst):
-            v = lst[k]
-            if seq_mask & bit[v]:       # already ordered
-                k += 1
-                continue
-            if seq_mask & ~past(v):     # past(v) does not cover seq
-                k += 1
-                continue
-            leader = v
-            break
-        ptr[j] = k
-        if leader is None:
+        chain = pasts[rr]
+        for k in range(ptr[rr], len(chain)):
+            p = chain[k]
+            if seq_mask | p == p != seq_mask:
+                ptr[rr] = k
+                misses = 0
+                seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
+                seq_mask = p
+                break
+        else:
+            ptr[rr] = len(chain)
             misses += 1
-            continue
-        misses = 0
-        seq.extend(topo_sort(dag, dag.expand_mask(past(leader) & ~seq_mask)))
-        seq_mask |= past(leader)
-    remaining = dag.expand_mask(dag.all_mask() & ~seq_mask)
-    seq.extend(topo_sort(dag, remaining))
+        rr = (rr + 1) % len(procs)
+    seq.extend(topo_sort(dag, dag.expand_mask(dag.all_mask() & ~seq_mask)))
     return seq
 
 
@@ -131,10 +118,10 @@ class _FairSession:
     """f_fair over a growing DAG, resumed from the one round v can change.
 
     A round is one turn of the issuer pointer; it misses when its scan
-    reaches the end of the issuer's list without finding a leader.  A new
+    reaches the end of the issuer's chain without finding a leader.  A new
     vertex v of a known issuer i is childless and i's highest sequence
-    number, so it is in no other vertex's past and last in i's list: only a
-    scan that reaches the end of i's list can see it, and after i's first
+    number, so it is in no other vertex's past and last in i's chain: only a
+    scan that reaches the end of i's chain can see it, and after i's first
     miss round every round of i misses.  Every earlier round runs as before.
     In that first miss round v leads iff past(v) covers the sequence built
     so far.  If it does, the loop resumes from the state saved at the start
@@ -151,15 +138,8 @@ class _FairSession:
 
     def __init__(self, dag: CommandDag):
         self._dag = dag
-        self._by_proc = {}     # issuer -> its commands, ascending seq
-        self._bit = {}         # command -> its bit in the past masks
-        for i, c in enumerate(dag.commands()):
-            self._by_proc.setdefault(c.issuer, []).append(c)
-            self._bit[c] = 1 << i
-        for lst in self._by_proc.values():
-            lst.sort(key=lambda c: c.seq)
         # issuer -> (round, len(seq), seq_mask, rr, ptr, misses) at the
-        # start of its first miss round
+        # start of its first miss round; every issuer has one after a run
         self._saved = {}
         self._seq = []         # the sequence built by the leader rounds
         self._restart()
@@ -168,20 +148,16 @@ class _FairSession:
         """Account for `v`, just inserted into the DAG; returns the first
         changed history position.  `v` must follow every earlier command
         of its issuer, which the protocol's causal chains guarantee."""
-        self._bit[v] = 1 << (len(self._dag) - 1)
         old = self.history
-        lst = self._by_proc.get(v.issuer)
-        if lst is None:
-            self._by_proc[v.issuer] = [v]
+        start = self._saved.get(v.issuer)
+        if start is None:
             self._restart()
             pos = 0
+        elif start[2] & ~self._dag.past_mask(v):
+            pos = len(self._seq) + self._rest.insert(v)
+            self.history = self._seq + self._rest.history
+            return pos
         else:
-            lst.append(v)
-            start = self._saved[v.issuer]
-            if start[2] & ~self._dag.past_mask(v):
-                pos = len(self._seq) + self._rest.insert(v)
-                self.history = self._seq + self._rest.history
-                return pos
             self._run(*start)
             pos = start[1]
         # A rerun rebuilds the history from `pos`, but often only appends
@@ -193,37 +169,34 @@ class _FairSession:
         return pos
 
     def _restart(self):
-        self._procs = sorted(self._by_proc)
-        self._run(0, 0, 0, 0, dict.fromkeys(self._procs, 0), 0)
+        self._procs = sorted(self._dag.chains())
+        self._run(0, 0, 0, 0, [0] * len(self._procs), 0)
 
     def _run(self, rnd, length, seq_mask, rr, ptr, misses):
         """Run the loop of f_fair from the given round state to its end."""
-        dag, procs, by_proc, bit = (self._dag, self._procs, self._by_proc,
-                                    self._bit)
-        past = dag.past_mask
+        dag, procs = self._dag, self._procs
+        chains, past = dag.chains(), dag.past_masks()
         saved = {j: s for j, s in self._saved.items() if s[0] < rnd}
         seq = self._seq
         del seq[length:]
-        ptr = dict(ptr)
+        ptr = list(ptr)
         while misses < len(procs):
             j = procs[rr]
-            lst = by_proc[j]
-            k = ptr[j]
-            while k < len(lst) and (seq_mask & bit[lst[k]]
-                                    or seq_mask & ~past(lst[k])):
-                k += 1
-            if k == len(lst):
-                if j not in saved:
-                    saved[j] = (rnd, len(seq), seq_mask, rr, dict(ptr),
-                                misses)
-                misses += 1
+            chain = chains[j]
+            for k in range(ptr[rr], len(chain)):
+                p = past[chain[k]]
+                if seq_mask | p == p != seq_mask:
+                    ptr[rr] = k
+                    misses = 0
+                    seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
+                    seq_mask = p
+                    break
             else:
-                misses = 0
-                leader = past(lst[k])
-                seq.extend(topo_sort(dag, dag.expand_mask(leader
-                                                          & ~seq_mask)))
-                seq_mask |= leader
-            ptr[j] = k
+                if j not in saved:
+                    saved[j] = (rnd, len(seq), seq_mask, rr, list(ptr),
+                                misses)
+                ptr[rr] = len(chain)
+                misses += 1
             rr = (rr + 1) % len(procs)
             rnd += 1
         self._saved = saved

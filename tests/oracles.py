@@ -129,6 +129,34 @@ def trace_snapshots(events):
             yield ev, h, dags.setdefault(rid, CommandDag())
 
 
+def naive_starvation(events, stable, correct, window):
+    """The starvation verdicts of `fairness_report` for the stable history
+    `stable`, from tuple copies: each own command's basis is a copy of its
+    issuer's history before it, at the first snapshot there that holds it,
+    and it is retained when it equals the stable history before it."""
+    histories, basis = {}, {}
+    for ev in events:
+        if ev["kind"] != "history" or ev["replica"] not in correct:
+            continue
+        rid = ev["replica"]
+        h = histories.get(rid, [])[:ev["keep"]] + [tuple(u) for u in ev["add"]]
+        histories[rid] = h
+        for i, uid in enumerate(h):
+            if uid[0] == rid and uid not in basis:
+                basis[uid] = tuple(h[:i])
+    pos = {uid: i for i, uid in enumerate(stable)}
+    verdicts = {}
+    for rid in correct:
+        tail = [uid for uid in stable if uid[0] == rid][-window:]
+        if len(tail) < window:
+            verdicts[rid] = "indeterminate"
+        elif any(basis.get(uid) == tuple(stable[:pos[uid]]) for uid in tail):
+            verdicts[rid] = "pass"
+        else:
+            verdicts[rid] = "fail"
+    return verdicts
+
+
 # --- DAG generation -----------------------------------------------------
 #
 # Protocol-shaped DAGs: a new vertex of issuer j hangs below the leaves of

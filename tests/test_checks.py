@@ -9,7 +9,7 @@ from dagrepl.sim import Trace, full_histories, run
 from dagrepl.scenarios import STARVATION_VICTIM, continuous_scenario, \
     fig1_scenario, random_scenario, starvation_scenario
 
-from oracles import lcp, trace_snapshots
+from oracles import lcp, naive_starvation, trace_snapshots
 
 
 def _mutated(trace, fn):
@@ -205,9 +205,11 @@ def _foreign_command(t):
     ev["h"] = ev["h"][:-1] + [[99, 1]]
 
 
-@pytest.mark.parametrize("spoil", [_append_instead_of_insert, _swap_added,
-                                   _lasting_swap, _dropped_command,
-                                   _foreign_command])
+SPOILS = [_append_instead_of_insert, _swap_added, _lasting_swap,
+          _dropped_command, _foreign_command]
+
+
+@pytest.mark.parametrize("spoil", SPOILS)
 def test_bfs_recon_equivalence_matches_from_scratch(spoil):
     # under bfs the checker tests each snapshot on its delta; it must flag
     # the very snapshots that a from-scratch f_bfs comparison flags
@@ -219,6 +221,64 @@ def test_bfs_recon_equivalence_matches_from_scratch(spoil):
     got = check_safety(bad)["recon_equivalence"]
     assert expect and not got["ok"]
     assert got["problems"] == expect[:10]
+
+
+def _starvation_pairs(trace):
+    """(fairness_report's starvation, the naive one) for a few windows."""
+    report = stable_prefix(trace)
+    for window in (2, 5, 10):
+        got = fairness_report(trace, report, window)["starvation"]
+        yield got, naive_starvation(trace.events, report.stable_history,
+                                    set(report.correct), window)
+
+
+@pytest.mark.parametrize("recon", ["bfs", "fair"])
+def test_starvation_matches_naive_basis_copies(recon):
+    verdicts = set()
+    for seed in range(6):
+        for got, expect in _starvation_pairs(run(random_scenario(seed,
+                                                                 recon))):
+            assert got == expect
+            verdicts.update(got.values())
+    assert {"pass", "fail"} <= verdicts
+
+
+@pytest.mark.parametrize("spoil", SPOILS)
+@pytest.mark.parametrize("recon", ["bfs", "fair"])
+def test_starvation_matches_naive_on_mutated_traces(recon, spoil):
+    bad = _mutated(run(random_scenario(21, recon)), spoil)
+    for got, expect in _starvation_pairs(bad):
+        assert got == expect
+
+
+def _revoke_bases(victim):
+    """A mutation: each snapshot of `victim` that first holds one of its
+    own commands has its first two commands swapped, and the victim's next
+    snapshot swaps them back, so every basis it issued on is revoked."""
+    def spoil(t):
+        seen = set()
+        for ev in t.events:
+            if ev["kind"] == "history" and ev["replica"] == victim:
+                h = ev["h"]
+                own = {tuple(u) for u in h if u[0] == victim}
+                if own - seen and len(h) > 2:
+                    ev["h"] = h[1::-1] + h[2:]
+                seen |= own
+    return spoil
+
+
+def test_revoked_bases_starve_the_issuer(random_trace):
+    report = stable_prefix(random_trace)
+    before = fairness_report(random_trace, report)["starvation"]
+    victim = min(rid for rid, v in before.items() if v == "pass")
+    bad = _mutated(random_trace, _revoke_bases(victim))
+    bad_report = stable_prefix(bad)
+    # only the bases changed: the stable history is the same
+    assert bad_report.stable_history == report.stable_history
+    after = fairness_report(bad, bad_report)["starvation"]
+    assert after == {**before, victim: "fail"}
+    assert after == naive_starvation(bad.events, bad_report.stable_history,
+                                     set(bad_report.correct), 10)
 
 
 def _foreign_inserts_with_parents(t):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from dagrepl.dag import (Command, CommandDag, EPSILON, DuplicateVertex,
-                         MissingParent, UnknownVertex, format_dag, parse_dag,
-                         topo_sort)
+                         MissingParent, UnknownVertex, format_dag, level_key,
+                         parse_dag, topo_sort)
 
 from oracles import all_topo_orders, brute_dist, brute_past, \
     random_protocol_dag
@@ -44,6 +44,8 @@ def test_rejected_insert_leaves_dag_unchanged(fig1_dag):
     before = format_dag(fig1_dag)
     commands = fig1_dag.commands()
     leaves = fig1_dag.leaves()
+    chains = {j: list(c) for j, c in fig1_dag.chains().items()}
+    keys = [level_key(fig1_dag, c) for c in commands]
     last = commands[-1]
     rejected = [(last, {EPSILON}, DuplicateVertex),
                 (cmd(9, 1), {last, cmd(9, 9)}, MissingParent),
@@ -56,12 +58,17 @@ def test_rejected_insert_leaves_dag_unchanged(fig1_dag):
         assert fig1_dag.leaves() == leaves
         assert cmd(9, 1) not in fig1_dag
         assert fig1_dag.all_mask() == (1 << len(commands)) - 1
+        assert fig1_dag.chains() == chains
+        assert [level_key(fig1_dag, c) for c in commands] == keys
+        with pytest.raises(UnknownVertex):
+            level_key(fig1_dag, cmd(9, 1))
     # the DAG still takes the vertex once its parents are right, and the
     # commands read before it are a snapshot, not the live order
     fig1_dag.insert(cmd(9, 1), {last})
     assert fig1_dag.commands() == commands + (cmd(9, 1),)
     assert fig1_dag.leaves() == (leaves - {last}) | {cmd(9, 1)}
     assert fig1_dag.dist(cmd(9, 1)) == fig1_dag.dist(last) + 1
+    assert fig1_dag.chains() == {**chains, 9: [cmd(9, 1)]}
 
 
 def test_leaves_root_only():
@@ -141,6 +148,51 @@ def test_topo_sort_against_exhaustive_orders():
         assert set(got) == subset and len(got) == len(subset)
         if subset:
             assert got in all_topo_orders(dag, subset)
+
+
+def _out_of_order_dag(rng, size, issuers):
+    """A DAG outside the protocol: random parents, and each issuer's seqs
+    (some repeated, with another op) inserted in random order."""
+    dag = CommandDag()
+    for k in range(size):
+        j = rng.randint(1, issuers)
+        parents = rng.sample(dag.commands(), min(len(dag), rng.randint(0, 3)))
+        dag.insert(cmd(j, rng.randint(1, size), k), parents or {EPSILON})
+    return dag
+
+
+def _assert_indexes(dag):
+    """The cached level keys and issuer chains, against brute force."""
+    for v in dag.commands():
+        assert level_key(dag, v) == (brute_dist(dag, v), v.issuer, v.seq)
+    # sorted() is stable, so equal seqs stay in insertion order
+    assert dag.chains() == {j: sorted(c, key=lambda v: v.seq)
+                            for j, c in _inserted_by_issuer(dag).items()}
+
+
+def _inserted_by_issuer(dag):
+    out = {}
+    for v in dag.commands():
+        out.setdefault(v.issuer, []).append(v)
+    return out
+
+
+def test_indexes_on_protocol_dags():
+    rng = random.Random(19)
+    for _ in range(60):
+        _assert_indexes(random_protocol_dag(rng, 25, 4))
+
+
+def test_indexes_on_out_of_order_dags():
+    rng = random.Random(29)
+    reordered = repeated = 0
+    for _ in range(60):
+        dag = _out_of_order_dag(rng, 25, 4)
+        _assert_indexes(dag)
+        for j, inserted in _inserted_by_issuer(dag).items():
+            reordered += inserted != dag.chains()[j]
+            repeated += len({v.seq for v in inserted}) < len(inserted)
+    assert reordered > 30 and repeated > 30
 
 
 def test_distance_immutable_under_insertions():

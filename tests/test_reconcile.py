@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from dagrepl.dag import Command, CommandDag, EPSILON, level_key
+from dagrepl.dag import Command, CommandDag, EPSILON, level_key, \
+    parse_dag
 from dagrepl.reconcile import RECONCILERS, f_bfs, f_fair, f_lifo, \
     get_reconciler
 from dagrepl.scenarios import FIG1_BFS_ORDER, FIG1_FAIR_ORDER
@@ -23,6 +24,28 @@ def test_fig1_bfs_order(fig1_dag):
 def test_fig1_fair_order(fig1_dag):
     assert keys(f_fair(fig1_dag)) == FIG1_FAIR_ORDER
     assert f_fair(fig1_dag) == oracle_f_fair(fig1_dag)
+
+
+# Outside the protocol: issuer 2's seq 1 hangs below its seqs 3 and 5, and
+# every issuer's seqs arrive out of order.  The order was frozen from the
+# f_fair that sorted each issuer's commands by seq on every call.
+NON_PROTOCOL_DAG = """
+2 3 push 0 : eps
+2 4 push 1 : eps
+2 5 push 2 : 2.4
+2 1 push 3 : 2.3 2.5
+1 3 push 4 : 2.4
+3 3 push 5 : 2.1
+3 2 push 9 : 2.5
+1 2 push 11 : 3.2 3.3
+"""
+NON_PROTOCOL_FAIR_ORDER = [(2, 3), (2, 4), (2, 5), (2, 1), (3, 2), (3, 3),
+                           (1, 2), (1, 3)]
+
+
+def test_fair_order_pinned_outside_the_protocol():
+    dag = parse_dag(NON_PROTOCOL_DAG)
+    assert keys(f_fair(dag)) == NON_PROTOCOL_FAIR_ORDER
 
 
 def test_fig1_lifo_order(fig1_dag):
