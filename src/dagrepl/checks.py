@@ -9,11 +9,12 @@ A snapshot is a delta against the replica's previous snapshot (trace
 schema 2), and the checkers work in proportion to the deltas, not to the
 histories: validity, repeats, monotonicity and wait-freedom look at the
 added and the revoked commands only, and the stable-prefix curve is a
-running minimum of `keep`s.  Under `bfs` reconciliation equivalence is
-tested at every snapshot on the added run and its boundary; under `fair`
-and `lifo` the history is compared with a from-scratch reconciliation of
-the rebuilt DAG at every `sample`-th snapshot, which makes the checker a
-differential test of the incremental sessions.
+running minimum of `keep`s.  Reconciliation equivalence is tested at
+every snapshot, which makes the checker a differential test of the
+incremental sessions: under `bfs` by a sortedness test of the added run
+and its boundary, under `fair` by a certificate that needs no batch
+expanded (`_fair_verified`), and under `lifo` by a from-scratch
+reconciliation of the rebuilt DAG.
 
 Stability is finite-trace approximated: a prefix of length L counts as
 stabilized once every recorded snapshot from some point onward starts
@@ -24,12 +25,13 @@ checkers may miss revocations but never invent them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .dag import Command, CommandDag, DagError, EPSILON, level_key
-from .reconcile import f_bfs, get_reconciler
+from .reconcile import f_fair, fair_leaders, get_reconciler
 from .sim import ConfigError
 
 
@@ -272,26 +274,41 @@ def stable_prefix(trace) -> StabilityReport:
 def fairness_report(trace, report: StabilityReport, window: int = 10):
     """Fairness and no-starvation verdicts from a stability report.
 
-    Fairness: every command issued by a correct replica well before the
-    horizon must be in the stabilized prefix; late issues are reported as
-    indeterminate, not failures.  Starvation: a replica fails when its
-    last `window` commands in the stabilized prefix all lost the basis
-    they were issued against.
+    Fairness: every command that every correct replica inserted before
+    the tail window opens (`t_stable_start`) must be in the stabilized
+    prefix.  A command some correct replica had not inserted by then, such
+    as one still in flight when a run without a flush ends, cannot have
+    stabilized in the trace; it is reported as indeterminate, not as a
+    failure.  Starvation: a replica fails when its last `window` commands
+    in the stabilized prefix all lost the basis they were issued against.
     """
     d = _digest(trace)
     stable = report.stable_history
     stable_set = set(stable)
 
-    missing = []
-    indeterminate = 0
+    late = 0
+    unstable = []
     for rid in d.correct:
         for t, uid in d.appends.get(rid, []):
             if uid in stable_set:
                 continue
             if t >= report.t_stable_start:
-                indeterminate += 1
+                late += 1
             else:
-                missing.append(uid)
+                unstable.append(uid)
+    # Only an early command missing from the stable prefix needs the
+    # insert times, so the common path reads none.
+    reached = {uid: set() for uid in unstable}
+    if reached:
+        correct = set(d.correct)
+        for t, tag, rid, uid, _ in d.ordered:
+            if t >= report.t_stable_start:
+                break
+            if tag == 0 and uid in reached and rid in correct:
+                reached[uid].add(rid)
+    missing = [uid for uid in unstable
+               if len(reached[uid]) == len(d.correct)]
+    indeterminate = late + len(unstable) - len(missing)
 
     starvation = {}
     for rid in d.correct:
@@ -328,12 +345,14 @@ def check_stability(report: StabilityReport, min_fraction=0.0):
             "required": need}
 
 
-def check_safety(trace, sample: int = 1):
+def check_safety(trace):
     """The per-trace safety suite; every sub-verdict must hold.
 
-    `sample` thins the from-scratch `fair`/`lifo` reconciliation to every
-    sample-th snapshot (final snapshots always included); all other checks,
-    `bfs` reconciliation equivalence among them, run on every snapshot.
+    Every check runs on every snapshot.  Reconciliation equivalence is
+    verified in O(delta) per snapshot under `bfs` (`_level_sorted`), by a
+    certificate under `fair` (`_fair_verified`) plus a from-scratch
+    `f_fair` at each replica's final snapshot, and by a from-scratch
+    reconciliation under any other reconciler.
     """
     d = _digest(trace)
     problems = defaultdict(list)
@@ -395,13 +414,14 @@ def check_safety(trace, sample: int = 1):
 
     # One pass over inserts and snapshots, in trace order, rebuilds every
     # replica's DAG and history.  Each insert is checked against the DAG
-    # invariants.  At each snapshot under bfs, and at sampled ones
-    # otherwise, the history must equal the reconciliation of the DAG,
-    # which also implies RF-Totality per snapshot.
+    # invariants.  At each snapshot the history must equal the
+    # reconciliation of the DAG, which also implies RF-Totality per
+    # snapshot.
     recon = get_reconciler(d.recon_name)
     dags = {rid: CommandDag() for rid in range(1, d.n + 1)}
     histories = defaultdict(list)
     breaks = defaultdict(list)
+    certs = defaultdict(_FairCert)
     cmds = {}
     first = {}                  # uid -> (parent uids, dist) where first seen
     level_count = defaultdict(Counter)
@@ -411,12 +431,14 @@ def check_safety(trace, sample: int = 1):
             i, delta = key, value
             h = histories[rid]
             _apply(h, delta.keep, delta.add)
-            if recon is f_bfs:
+            if d.recon_name == "bfs":
                 same = _level_sorted(dag, cmds, h, delta.keep, breaks[rid])
-            elif i != len(d.snapshots[rid]) - 1 and (i + 1) % sample != 0:
-                continue
+            elif d.recon_name == "fair":
+                same = _fair_verified(dag, cmds, h, delta.keep, certs[rid])
+                if i == len(d.snapshots[rid]) - 1:
+                    same = same and _uids(f_fair(dag)) == h
             else:
-                same = [(c.issuer, c.seq) for c in recon(dag)] == h
+                same = _uids(recon(dag)) == h
             if not same:
                 problems["recon_equivalence"].append(
                     "replica %d snapshot at t=%d != recon(dag)" % (rid, t))
@@ -489,7 +511,89 @@ def _level_sorted(dag, cmds, h, keep, breaks):
     return not breaks and len(h) == len(dag)
 
 
-def run_all_checks(trace, window: int = 10, sample: int = 1):
+def _uids(history):
+    return [(c.issuer, c.seq) for c in history]
+
+
+class _FairCert:
+    """What `_fair_verified` keeps of a replica's previous snapshot."""
+
+    __slots__ = ("leaders", "ends", "verified")
+
+    def __init__(self):
+        self.leaders = []       # fair_leaders(dag)
+        self.ends = []          # the end position of each leader's batch
+        self.verified = 0       # the prefix of h that passed the walk
+
+
+def _fair_verified(dag, cmds, h, keep, state):
+    """Whether the history `h`, just changed from position `keep` on, is
+    f_fair(dag), without expanding any batch.
+
+    Let m_1..m_k be the past masks of f_fair's leaders, m_0 = 0, and
+    m_{k+1} the mask of all vertices.  Batch j ends at position
+    m_j.bit_count(), the leftover batch k + 1 at len(dag).  Each x of batch
+    j has past(x) | m_j == m_j and past(x) | m_{j-1} != m_{j-1}.  Inside a
+    batch the level key strictly increases, ties broken by insertion
+    index, which is the highest bit of a past mask: f_fair sorts a batch
+    by level key, stably, from insertion order.  A batch holding only
+    members of its mask difference, in strict order, holds each member
+    once; with len(h) == len(dag) it holds all of them.  So these facts
+    hold iff h is f_fair(dag), on any DAG.
+
+    Each position's facts rest on its batch's two masks and on the
+    position before it only, and past masks never change.  `state`, a
+    _FairCert updated in place, keeps the leader masks of the replica's
+    previous snapshot and how far h passed then; the walk starts at the
+    least of `keep`, that length and the start of the first batch whose
+    leader changed, and stops at the first failing position.
+    """
+    leaders = fair_leaders(dag)
+    old = state.leaders
+    same = 0
+    common = min(len(leaders), len(old))
+    while same < common and leaders[same] == old[same]:
+        same += 1
+    ends = state.ends
+    del ends[same:]
+    ends += [m.bit_count() for m in leaders[same:]]
+    start = min(keep, state.verified)
+    if same < max(len(leaders), len(old)):
+        start = min(start, ends[same - 1] if same else 0)
+    state.leaders = leaders
+
+    past = dag.past_masks()
+    # The leftover batch's upper mask holds every vertex; it has no end.
+    uppers = leaders + [dag.all_mask()]
+    stops = ends + [None]
+    b = bisect_right(ends, start)           # the batch holding `start`
+    lower = uppers[b - 1] if b else 0
+    upper, end = uppers[b], stops[b]
+    prev = None
+    if start > (ends[b - 1] if b else 0):   # inside a batch; h[start - 1]
+        u = cmds[h[start - 1]]              # passed, so it is in the DAG
+        prev, prev_p = level_key(dag, u), past[u]
+    for i in range(start, len(h)):
+        if i == end:
+            b += 1
+            lower, upper, end = upper, uppers[b], stops[b]
+            prev = None
+        v = cmds.get(h[i])
+        p = past.get(v)
+        if p is None or p | upper != upper or p | lower == lower:
+            break
+        key = level_key(dag, v)
+        if prev is not None and (prev > key
+                                 or prev == key and prev_p >= p):
+            break
+        prev, prev_p = key, p
+    else:
+        i = len(h)
+    state.verified = i
+    return i == len(h) == len(dag)
+
+
+def run_all_checks(trace, window: int = 10):
     """Every checker on one trace; convergence only binds at quiescence.
 
     The trace is digested once and its stability report computed once;
@@ -498,7 +602,7 @@ def run_all_checks(trace, window: int = 10, sample: int = 1):
     d = _Digest(trace)
     report = stable_prefix(d)
     verdicts = {}
-    verdicts["safety"] = check_safety(d, sample=sample)
+    verdicts["safety"] = check_safety(d)
     verdicts["stability"] = check_stability(report)
     verdicts["fairness"] = fairness_report(d, report, window=window)
     if d.quiescent:

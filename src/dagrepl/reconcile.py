@@ -10,6 +10,8 @@ commands (RF-Totality).  Three instances:
             owning a vertex whose causal past covers everything ordered so
             far, and append that vertex's remaining past in topological
             order.  Yields a stable prefix that is additionally fair.
+            `fair_leaders` is the leader scan alone, which the trace
+            checker shares to verify a history without expanding batches.
 * f_lifo -- newest-first by local insertion order.  Deliberately unstable;
             negative baseline only.
 
@@ -28,7 +30,7 @@ out is never mutated.
 
 The attributes survive `functools.wraps`, so a wrapped reconciler keeps its
 session.  The functions themselves stay from-scratch: they are the
-reference the sessions are tested against.
+reference the sessions and the checker's certificate are tested against.
 """
 
 from __future__ import annotations
@@ -48,20 +50,19 @@ def f_bfs(dag: CommandDag):
     return topo_sort(dag, dag.commands())
 
 
-def f_fair(dag: CommandDag):
-    """Round-robin leader order.
+def fair_leaders(dag: CommandDag):
+    """The past masks of f_fair's leaders, in the order it picks them.
 
     The issuer pointer cycles over the ids present in the DAG, ascending,
     starting at the smallest on every invocation.  A vertex v of issuer j
     qualifies as a leader when v is not yet ordered and past(v) covers the
     whole sequence built so far; the smallest qualifying sequence number
-    wins.  The loop stops after a full cycle with no qualifying issuer,
-    then the leftover vertices are appended in one topological batch.
+    wins.  The loop stops after a full cycle with no qualifying issuer.
 
     It scans the DAG's issuer chains by past mask.  The built sequence is
     one leader's causal past, so down-closed, and past(v) holds v: v
     qualifies iff its mask p strictly contains the sequence's mask s, that
-    is `s | p == p != s`.
+    is `s | p == p != s`.  So each mask strictly contains the one before.
     """
     procs = sorted(dag.chains())
     past = dag.past_masks().__getitem__
@@ -70,7 +71,7 @@ def f_fair(dag: CommandDag):
     # so a vertex that is ordered or fails the coverage test never
     # qualifies later.
     ptr = [0] * len(procs)
-    seq = []
+    leaders = []
     seq_mask = 0
     rr = 0
     misses = 0
@@ -81,14 +82,29 @@ def f_fair(dag: CommandDag):
             if seq_mask | p == p != seq_mask:
                 ptr[rr] = k
                 misses = 0
-                seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
+                leaders.append(p)
                 seq_mask = p
                 break
         else:
             ptr[rr] = len(chain)
             misses += 1
         rr = (rr + 1) % len(procs)
-    seq.extend(topo_sort(dag, dag.expand_mask(dag.all_mask() & ~seq_mask)))
+    return leaders
+
+
+def f_fair(dag: CommandDag):
+    """Round-robin leader order.
+
+    Each leader found by `fair_leaders` appends its batch: the part of its
+    past not yet ordered, in topological order.  The leftover vertices
+    follow in one last batch.  Batch k thus ends at position
+    `|past(leader_k)|`, and every batch is sorted by `level_key`.
+    """
+    seq = []
+    seq_mask = 0
+    for p in fair_leaders(dag) + [dag.all_mask()]:
+        seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
+        seq_mask = p
     return seq
 
 

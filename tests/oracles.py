@@ -193,6 +193,18 @@ def random_protocol_dag(rng, max_vertices, max_issuers):
     return dag
 
 
+def random_out_of_order_dag(rng, size, issuers):
+    """A DAG outside the protocol: random parents, and each issuer's seqs
+    (some repeated, with another op) inserted in random order."""
+    dag = CommandDag()
+    for k in range(size):
+        j = rng.randint(1, issuers)
+        parents = rng.sample(dag.commands(), min(len(dag), rng.randint(0, 3)))
+        seq = rng.randint(1, size)
+        dag.insert(Command((k, j, seq), j, seq), parents or {EPSILON})
+    return dag
+
+
 def enumerate_protocol_dags(n_issuers, max_vertices):
     """Every protocol-reachable DAG with at most `max_vertices` vertices.
 

@@ -1,15 +1,20 @@
 import copy
+import random
+from collections import defaultdict
 
 import pytest
 
-from dagrepl.checks import check_convergence, check_safety, check_stability, \
-    fairness_report, run_all_checks, stable_prefix
-from dagrepl.reconcile import f_bfs
+from dagrepl.checks import _FairCert, _fair_verified, check_convergence, \
+    check_safety, check_stability, fairness_report, run_all_checks, \
+    stable_prefix
+from dagrepl.dag import CommandDag
+from dagrepl.reconcile import f_bfs, f_fair, fair_leaders
 from dagrepl.sim import Trace, full_histories, run
 from dagrepl.scenarios import STARVATION_VICTIM, continuous_scenario, \
     fig1_scenario, random_scenario, starvation_scenario
 
-from oracles import lcp, naive_starvation, trace_snapshots
+from oracles import lcp, naive_starvation, random_out_of_order_dag, \
+    random_protocol_dag, trace_snapshots
 
 
 def _mutated(trace, fn):
@@ -103,8 +108,41 @@ def test_starvation_indeterminate_on_tiny_run():
     assert set(verdict["starvation"].values()) == {"indeterminate"}
 
 
+@pytest.mark.parametrize("recon", ["bfs", "fair"])
+def test_fairness_counts_commands_in_flight_as_indeterminate(recon):
+    # Without a final flush, a command that some correct replica had not
+    # inserted when the tail window opened cannot have stabilized: it is
+    # indeterminate, not missing.  Checked against the raw events.
+    in_flight = 0
+    for seed in range(4):
+        trace = run(continuous_scenario(seed, recon))
+        report = stable_prefix(trace)
+        verdict = fairness_report(trace, report)
+        start, correct = report.t_stable_start, set(report.correct)
+        got = defaultdict(set)          # uid -> correct replicas, in time
+        early = []                      # unstable, issued before `start`
+        for ev in trace.events:
+            if ev["t"] >= start or ev.get("replica") not in correct:
+                continue
+            if ev["kind"] == "insert":
+                got[tuple(ev["vertex"])].add(ev["replica"])
+            elif ev["kind"] == "append":
+                uid = (ev["replica"], ev["seq"])
+                if uid not in report.stable_history:
+                    early.append(uid)
+        missing = sorted(uid for uid in early if got[uid] == correct)
+        unstable = sum(issued for issued in report.issued.values()) \
+            - len(report.stable_history)
+        assert verdict["missing_from_stable"] == missing
+        assert verdict["indeterminate"] == unstable - len(missing)
+        in_flight += len(early) - len(missing)
+        if recon == "fair" and seed == 0:   # the CLI's default run
+            assert verdict["ok"] and verdict["indeterminate"]
+    assert in_flight
+
+
 def test_safety_pass(random_trace):
-    verdict = check_safety(random_trace, sample=5)
+    verdict = check_safety(random_trace)
     assert verdict["ok"]
     for key, sub in verdict.items():
         if isinstance(sub, dict):
@@ -221,6 +259,154 @@ def test_bfs_recon_equivalence_matches_from_scratch(spoil):
     got = check_safety(bad)["recon_equivalence"]
     assert expect and not got["ok"]
     assert got["problems"] == expect[:10]
+
+
+@pytest.mark.parametrize("spoil", SPOILS)
+def test_fair_recon_equivalence_matches_from_scratch(spoil):
+    # under fair the checker verifies each snapshot by certificate; it must
+    # flag the very snapshots that a from-scratch f_fair comparison flags
+    bad = _mutated(run(random_scenario(21, "fair")), spoil)
+    expect = ["replica %d snapshot at t=%d != recon(dag)"
+              % (ev["replica"], ev["t"])
+              for ev, h, dag in trace_snapshots(bad.events)
+              if h != [[c.issuer, c.seq] for c in f_fair(dag)]]
+    got = check_safety(bad)["recon_equivalence"]
+    assert expect and not got["ok"]
+    assert got["problems"] == expect[:10]
+
+
+def _fair_mutants(rng, dag, h):
+    """Changed copies of the f_fair history `h`: a swap inside a batch, a
+    swap across a batch boundary, a moved leader, a dropped element and a
+    duplicated one (in place of another, and added)."""
+    ends = [m.bit_count() for m in fair_leaders(dag)]
+    starts = [0] + ends
+    batches = [(a, b) for a, b in zip(starts, ends + [len(h)]) if b - a > 1]
+    out = []
+    if batches:
+        a, b = rng.choice(batches)
+        i, j = rng.sample(range(a, b), 2)
+        m = list(h)
+        m[i], m[j] = m[j], m[i]
+        out.append(m)
+    inner = [e for e in ends if e < len(h)]
+    if inner:
+        e = rng.choice(inner)
+        out.append(h[:e - 1] + [h[e], h[e - 1]] + h[e + 1:])
+    if ends:
+        e = rng.choice(ends)
+        m = h[:e - 1] + h[e:]
+        m.insert(rng.randrange(len(h)), h[e - 1])
+        out.append(m)
+    if h:
+        i, j = rng.randrange(len(h)), rng.randrange(len(h))
+        out.append(h[:i] + h[i + 1:])
+        m = list(h)
+        m[i] = h[j]
+        out.append(m)
+        out.append(h[:i] + [h[j]] + h[i:])
+    return out
+
+
+def _random_dags(rng, count):
+    for k in range(count):
+        if k % 2:
+            yield random_out_of_order_dag(rng, rng.randint(0, 30), 4)
+        else:
+            yield random_protocol_dag(rng, 30, 4)
+
+
+def test_fair_certificate_is_exact_on_random_dags():
+    # the certificate accepts a history iff it is f_fair(dag), on protocol
+    # DAGs and on DAGs with shuffled and repeated seqs alike
+    rng = random.Random(61)
+    accepted = rejected = 0
+    for dag in _random_dags(rng, 4000):
+        true = f_fair(dag)
+        cmds = {c: c for c in dag.commands()}
+        for h in [true] + _fair_mutants(rng, dag, true):
+            got = _fair_verified(dag, cmds, h, 0, _FairCert())
+            assert got == (h == true), (dag.commands(), h)
+            accepted += got
+            rejected += not got
+    assert accepted >= 4000 and rejected > 15000
+
+
+def test_fair_certificate_is_exact_on_growing_dags():
+    # one state per DAG while it grows, each history true or a mutant:
+    # a verdict never leans on a prefix that failed before
+    rng = random.Random(67)
+    failed_then_kept = 0
+    for whole in _random_dags(rng, 600):
+        dag = CommandDag()
+        state = _FairCert()
+        prev, prev_ok = [], True
+        for v in whole.commands():
+            dag.insert(v, whole.parents_of(v))
+            true = f_fair(dag)
+            h = rng.choice([true] + _fair_mutants(rng, dag, true))
+            keep = lcp(prev, h)
+            got = _fair_verified(dag, {c: c for c in dag.commands()}, h,
+                                 keep, state)
+            assert got == (h == true)
+            failed_then_kept += not prev_ok and keep == len(prev)
+            prev, prev_ok = h, got
+    assert failed_then_kept > 50
+
+
+def _swap_pairs(rng, count=5):
+    """A mutation: `count` snapshots get an adjacent pair swapped; every
+    other one also keeps that swap, in the first half of its history, in
+    its replica's later snapshots while the pair stays in place."""
+    def spoil(t):
+        snaps = [ev for ev in t.events if ev["kind"] == "history"
+                 and len(ev["h"]) > 1]
+        chosen = {id(ev): k % 2 for k, ev in
+                  enumerate(rng.sample(snaps, count))}
+        lasting = {}            # replica -> (position, pair)
+        for ev in t.events:
+            if ev["kind"] != "history":
+                continue
+            h, rid = ev["h"], ev["replica"]
+            if id(ev) in chosen:
+                i = rng.randrange(len(h) // 2 if chosen[id(ev)]
+                                  else len(h) - 1)
+                if chosen[id(ev)]:
+                    lasting[rid] = (i, h[i:i + 2])
+            elif rid in lasting and h[lasting[rid][0]:][:2] \
+                    == lasting[rid][1]:
+                i = lasting[rid][0]
+            else:
+                lasting.pop(rid, None)
+                continue
+            ev["h"] = h[:i] + h[i:i + 2][::-1] + h[i + 2:]
+    return spoil
+
+
+def test_fair_certificate_matches_from_scratch_per_snapshot():
+    # every snapshot's verdict equals the from-scratch comparison with
+    # f_fair, also when it follows a failing snapshot and keeps the
+    # position where that one went wrong
+    kept_wrong = 0
+    for seed in range(8):
+        trace = run(random_scenario(seed, "fair"))
+        if seed % 2:
+            trace = _mutated(trace, _swap_pairs(random.Random(seed)))
+        certs = defaultdict(_FairCert)
+        wrong_at = {}           # replica -> where its last snapshot erred
+        for ev, h, dag in trace_snapshots(trace.events):
+            rid = ev["replica"]
+            h = [tuple(u) for u in h]
+            true = [(c.issuer, c.seq) for c in f_fair(dag)]
+            cmds = {(c.issuer, c.seq): c for c in dag.commands()}
+            assert _fair_verified(dag, cmds, h, ev["keep"],
+                                  certs[rid]) == (h == true)
+            kept_wrong += ev["keep"] > wrong_at.get(rid, len(h))
+            if h == true:
+                wrong_at.pop(rid, None)
+            else:
+                wrong_at[rid] = lcp(h, true)
+    assert kept_wrong > 20
 
 
 def _starvation_pairs(trace):
@@ -368,7 +554,7 @@ def test_safety_detects_missing_totality(random_trace):
 
 
 def test_run_all_checks_aggregates(random_trace):
-    verdicts = run_all_checks(random_trace, sample=5)
+    verdicts = run_all_checks(random_trace)
     assert verdicts["ok"]
     assert verdicts["safety"]["ok"]
     assert verdicts["stability"]["ok"]

@@ -321,6 +321,28 @@ def test_failed_verdict_prints_its_first_problems(capsys, tmp_path):
     assert out[at + 1 + len(failed)] == "stability    PASS"
 
 
+def test_swapped_fair_snapshot_fails_recon_equivalence(capsys, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    assert main(["run", "--scenario", "random", "--recon", "fair",
+                 "--trace-out", str(path)]) == 0
+    swapped = {}
+
+    def edit(events):
+        # two commands one snapshot adds trade places
+        ev = next(ev for ev in events
+                  if ev["kind"] == "history" and len(ev["add"]) > 1)
+        ev["add"][:2] = ev["add"][1::-1]
+        swapped.update(ev)
+    _edit_events(path, edit)
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("safety       FAIL")
+    assert out[at + 1] == (
+        "  recon_equivalence: replica %d snapshot at t=%d != recon(dag)"
+        % (swapped["replica"], swapped["t"]))
+
+
 def test_failed_fairness_names_the_starving_replica(capsys):
     assert main(["run", "--scenario", "starvation", "--recon", "bfs",
                  "--window", "5"]) == 1

@@ -7,7 +7,7 @@ from dagrepl.dag import (Command, CommandDag, EPSILON, DuplicateVertex,
                          parse_dag, topo_sort)
 
 from oracles import all_topo_orders, brute_dist, brute_past, \
-    random_protocol_dag
+    random_out_of_order_dag, random_protocol_dag
 
 
 def cmd(issuer, seq, tag="op"):
@@ -150,17 +150,6 @@ def test_topo_sort_against_exhaustive_orders():
             assert got in all_topo_orders(dag, subset)
 
 
-def _out_of_order_dag(rng, size, issuers):
-    """A DAG outside the protocol: random parents, and each issuer's seqs
-    (some repeated, with another op) inserted in random order."""
-    dag = CommandDag()
-    for k in range(size):
-        j = rng.randint(1, issuers)
-        parents = rng.sample(dag.commands(), min(len(dag), rng.randint(0, 3)))
-        dag.insert(cmd(j, rng.randint(1, size), k), parents or {EPSILON})
-    return dag
-
-
 def _assert_indexes(dag):
     """The cached level keys and issuer chains, against brute force."""
     for v in dag.commands():
@@ -187,7 +176,7 @@ def test_indexes_on_out_of_order_dags():
     rng = random.Random(29)
     reordered = repeated = 0
     for _ in range(60):
-        dag = _out_of_order_dag(rng, 25, 4)
+        dag = random_out_of_order_dag(rng, 25, 4)
         _assert_indexes(dag)
         for j, inserted in _inserted_by_issuer(dag).items():
             reordered += inserted != dag.chains()[j]

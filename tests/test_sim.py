@@ -150,7 +150,7 @@ def test_trace_steps_strictly_increase():
 def test_random_scenario_with_faults_converges_and_safe():
     trace = run(random_scenario(11, "fair"))
     assert check_convergence(trace)["ok"]
-    assert check_safety(trace, sample=10)["ok"]
+    assert check_safety(trace)["ok"]
 
 
 @pytest.mark.parametrize("recon", ["bfs", "fair"])
