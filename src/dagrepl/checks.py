@@ -11,10 +11,12 @@ histories: validity, repeats, monotonicity and wait-freedom look at the
 added and the revoked commands only, and the stable-prefix curve is a
 running minimum of `keep`s.  Reconciliation equivalence is tested at
 every snapshot, which makes the checker a differential test of the
-incremental sessions: under `bfs` by a sortedness test of the added run
-and its boundary, under `fair` by a certificate that needs no batch
-expanded (`_fair_verified`), and under `lifo` by a from-scratch
-reconciliation of the rebuilt DAG.
+incremental sessions.  Under `bfs` and `fair` one certificate does it
+(`_batches_verified`): a history of either is leader batches and a
+leftover batch, each in level order, and the certificate checks the
+batches against the leader masks, `fair_leaders` under `fair` and none
+under `bfs`, without expanding any.  Under `lifo` the rebuilt DAG is
+reconciled from scratch.
 
 Stability is finite-trace approximated: a prefix of length L counts as
 stabilized once every recorded snapshot from some point onward starts
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .dag import Command, CommandDag, DagError, EPSILON, level_key
-from .reconcile import f_fair, fair_leaders, get_reconciler
+from .reconcile import fair_leaders, get_reconciler
 from .sim import ConfigError
 
 
@@ -72,6 +74,8 @@ class _Digest:
     increasing `t` and well-formed fields, with each `keep` between 0 and
     the replica's previous history length, raising ConfigError that names the
     offending event otherwise, so the checkers trust what it records.  It
+    also requires each replica in 1..n to be crashed or named by an event,
+    so that a hostile n cannot size the checkers' work.  It
     keeps each replica's current history as a list and a uid set, and
     records per snapshot the facts that need the set.
     """
@@ -82,8 +86,6 @@ class _Digest:
         self.recon_name = meta["scenario"]["recon"]
         self.quiescent = meta["quiescent"]
         self.crashed = set(meta["crashed"])
-        self.correct = [r for r in range(1, self.n + 1)
-                        if r not in self.crashed]
         self.appends = defaultdict(list)    # rid -> [(t, uid)]
         self.snapshots = defaultdict(list)  # rid -> [_Delta]
         self.inserted = defaultdict(set)    # rid -> uids inserted there
@@ -144,6 +146,17 @@ class _Digest:
                 self.delivers[rid].append(value)
         for rid, uids in awaiting.items():
             self.unseen[rid] += uids
+        # Every correct replica has events, so n is at most the replicas
+        # named or crashed; nothing is sized by n before this test.
+        named = set().union(self.appends, self.snapshots, self.inserted,
+                            self.delivers)
+        named.update(r for r in self.crashed if 1 <= r <= self.n)
+        if len(named) < self.n:
+            raise ConfigError("meta n=%d, but only %d replicas are named "
+                              "by an event or crashed"
+                              % (self.n, len(named)))
+        self.correct = [r for r in range(1, self.n + 1)
+                        if r not in self.crashed]
         # rid -> its last history, for every replica with a snapshot
         self.final = {rid: tuple(h) for rid, h in histories.items()}
 
@@ -349,10 +362,11 @@ def check_safety(trace):
     """The per-trace safety suite; every sub-verdict must hold.
 
     Every check runs on every snapshot.  Reconciliation equivalence is
-    verified in O(delta) per snapshot under `bfs` (`_level_sorted`), by a
-    certificate under `fair` (`_fair_verified`) plus a from-scratch
-    `f_fair` at each replica's final snapshot, and by a from-scratch
-    reconciliation under any other reconciler.
+    verified by one certificate (`_batches_verified`) under `bfs`, with no
+    leaders, and under `fair`, with `fair_leaders(dag)`, plus a
+    from-scratch reconciliation at each replica's final snapshot; under
+    any other reconciler, by a from-scratch reconciliation at every
+    snapshot.
     """
     d = _digest(trace)
     problems = defaultdict(list)
@@ -418,10 +432,10 @@ def check_safety(trace):
     # reconciliation of the DAG, which also implies RF-Totality per
     # snapshot.
     recon = get_reconciler(d.recon_name)
+    certified = d.recon_name in ("bfs", "fair")
     dags = {rid: CommandDag() for rid in range(1, d.n + 1)}
     histories = defaultdict(list)
-    breaks = defaultdict(list)
-    certs = defaultdict(_FairCert)
+    certs = defaultdict(_BatchCert)
     cmds = {}
     first = {}                  # uid -> (parent uids, dist) where first seen
     level_count = defaultdict(Counter)
@@ -431,14 +445,14 @@ def check_safety(trace):
             i, delta = key, value
             h = histories[rid]
             _apply(h, delta.keep, delta.add)
-            if d.recon_name == "bfs":
-                same = _level_sorted(dag, cmds, h, delta.keep, breaks[rid])
-            elif d.recon_name == "fair":
-                same = _fair_verified(dag, cmds, h, delta.keep, certs[rid])
-                if i == len(d.snapshots[rid]) - 1:
-                    same = same and _uids(f_fair(dag)) == h
+            if not certified:
+                same = recon(dag) == list(map(cmds.get, h))
             else:
-                same = _uids(recon(dag)) == h
+                leaders = fair_leaders(dag) if d.recon_name == "fair" else []
+                same = _batches_verified(dag, cmds, h, delta.keep, leaders,
+                                         certs[rid])
+                if i == len(d.snapshots[rid]) - 1:
+                    same = same and recon(dag) == list(map(cmds.get, h))
             if not same:
                 problems["recon_equivalence"].append(
                     "replica %d snapshot at t=%d != recon(dag)" % (rid, t))
@@ -481,95 +495,62 @@ def check_safety(trace):
     return verdict
 
 
-def _level_sorted(dag, cmds, h, keep, breaks):
-    """Whether the history `h`, just changed from position `keep` on, is
-    f_bfs(dag), looking at h[keep - 1:] only.
-
-    `breaks` lists, ascending, the positions i of h where h[i] was not in
-    the DAG when added, or level_key(h[i - 1]) >= level_key(h[i]); it is
-    updated in place.  A strict total key has exactly one sorted
-    permutation, and strict order rules out repeats, so a history with no
-    break and the DAG's length is f_bfs(dag).
-    """
-    while breaks and breaks[-1] >= keep:
-        breaks.pop()
-    prev = None
-    if keep:
-        v = cmds.get(h[keep - 1])
-        if v in dag:            # else keep - 1 is a break already
-            prev = level_key(dag, v)
-    for i in range(keep, len(h)):
-        v = cmds.get(h[i])
-        if v not in dag:
-            breaks.append(i)
-            prev = None
-            continue
-        key = level_key(dag, v)
-        if prev is not None and prev >= key:
-            breaks.append(i)
-        prev = key
-    return not breaks and len(h) == len(dag)
-
-
-def _uids(history):
-    return [(c.issuer, c.seq) for c in history]
-
-
-class _FairCert:
-    """What `_fair_verified` keeps of a replica's previous snapshot."""
+class _BatchCert:
+    """What `_batches_verified` keeps of a replica's previous snapshot."""
 
     __slots__ = ("leaders", "ends", "verified")
 
     def __init__(self):
-        self.leaders = []       # fair_leaders(dag)
+        self.leaders = []       # the leader masks it was given
         self.ends = []          # the end position of each leader's batch
         self.verified = 0       # the prefix of h that passed the walk
 
 
-def _fair_verified(dag, cmds, h, keep, state):
+def _batches_verified(dag, cmds, h, keep, leaders, state):
     """Whether the history `h`, just changed from position `keep` on, is
-    f_fair(dag), without expanding any batch.
+    the leader batches of the past masks `leaders` followed by the
+    leftover batch, without expanding any batch: f_fair(dag) for
+    `fair_leaders(dag)`, f_bfs(dag) for no leaders.
 
-    Let m_1..m_k be the past masks of f_fair's leaders, m_0 = 0, and
-    m_{k+1} the mask of all vertices.  Batch j ends at position
-    m_j.bit_count(), the leftover batch k + 1 at len(dag).  Each x of batch
-    j has past(x) | m_j == m_j and past(x) | m_{j-1} != m_{j-1}.  Inside a
-    batch the level key strictly increases, ties broken by insertion
-    index, which is the highest bit of a past mask: f_fair sorts a batch
-    by level key, stably, from insertion order.  A batch holding only
-    members of its mask difference, in strict order, holds each member
-    once; with len(h) == len(dag) it holds all of them.  So these facts
-    hold iff h is f_fair(dag), on any DAG.
+    Let m_1..m_k be the leader masks, strictly nested, and m_0 = 0.  Batch
+    j ends at position m_j.bit_count(), the leftover batch k + 1 at
+    len(dag).  Each x of batch j <= k has past(x) | m_j == m_j, and each x
+    of batch j has past(x) | m_{j-1} != m_{j-1}; the leftover batch has no
+    upper mask, as it holds every other DAG member.  Inside a batch the
+    level key strictly increases, ties broken by insertion index, which is
+    the highest bit of a past mask: both reconcilers sort a batch by level
+    key, stably, from insertion order.  A batch holding only members of
+    its mask difference, in strict order, holds each member once; with
+    len(h) == len(dag) it holds all of them.  So these facts hold iff h is
+    that history, on any DAG.
 
     Each position's facts rest on its batch's two masks and on the
     position before it only, and past masks never change.  `state`, a
-    _FairCert updated in place, keeps the leader masks of the replica's
+    _BatchCert updated in place, keeps the leader masks of the replica's
     previous snapshot and how far h passed then; the walk starts at the
     least of `keep`, that length and the start of the first batch whose
     leader changed, and stops at the first failing position.
     """
-    leaders = fair_leaders(dag)
-    old = state.leaders
-    same = 0
-    common = min(len(leaders), len(old))
-    while same < common and leaders[same] == old[same]:
-        same += 1
-    ends = state.ends
-    del ends[same:]
-    ends += [m.bit_count() for m in leaders[same:]]
     start = min(keep, state.verified)
-    if same < max(len(leaders), len(old)):
+    old, ends = state.leaders, state.ends
+    if leaders != old:
+        same = 0                # stops: the lists differ somewhere
+        while leaders[same:same + 1] == old[same:same + 1]:
+            same += 1
+        del ends[same:]
+        ends += [m.bit_count() for m in leaders[same:]]
         start = min(start, ends[same - 1] if same else 0)
-    state.leaders = leaders
+        state.leaders = leaders
 
     past = dag.past_masks()
-    # The leftover batch's upper mask holds every vertex; it has no end.
-    uppers = leaders + [dag.all_mask()]
+    # The leftover batch has upper mask 0, which stands for none, and no
+    # end.
+    uppers = leaders + [0]
     stops = ends + [None]
     b = bisect_right(ends, start)           # the batch holding `start`
     lower = uppers[b - 1] if b else 0
     upper, end = uppers[b], stops[b]
-    prev = None
+    prev = ()                               # below every level key
     if start > (ends[b - 1] if b else 0):   # inside a batch; h[start - 1]
         u = cmds[h[start - 1]]              # passed, so it is in the DAG
         prev, prev_p = level_key(dag, u), past[u]
@@ -577,20 +558,19 @@ def _fair_verified(dag, cmds, h, keep, state):
         if i == end:
             b += 1
             lower, upper, end = upper, uppers[b], stops[b]
-            prev = None
+            prev = ()
         v = cmds.get(h[i])
-        p = past.get(v)
-        if p is None or p | upper != upper or p | lower == lower:
+        p = past.get(v, 0)                  # 0 is inside every mask
+        if p | lower == lower or upper and p | upper != upper:
             break
         key = level_key(dag, v)
-        if prev is not None and (prev > key
-                                 or prev == key and prev_p >= p):
+        if prev >= key and (prev > key or prev_p >= p):
             break
         prev, prev_p = key, p
     else:
         i = len(h)
     state.verified = i
-    return i == len(h) == len(dag)
+    return i == len(h) == len(past)
 
 
 def run_all_checks(trace, window: int = 10):

@@ -10,10 +10,14 @@ commands (RF-Totality).  Three instances:
             owning a vertex whose causal past covers everything ordered so
             far, and append that vertex's remaining past in topological
             order.  Yields a stable prefix that is additionally fair.
-            `fair_leaders` is the leader scan alone, which the trace
-            checker shares to verify a history without expanding batches.
 * f_lifo -- newest-first by local insertion order.  Deliberately unstable;
             negative baseline only.
+
+f_bfs and f_fair share one shape: leader batches, each the unordered
+part of one leader's causal past, then a leftover batch, each batch in
+`level_key` order.  f_bfs has no leaders; `fair_leaders` is f_fair's
+leader scan alone, with which the trace checker verifies a history
+without expanding a batch.
 
 A replica does not rerun its reconciler on every change.  It opens a
 session, `open_session(recon, dag)`, over its DAG.  After each
@@ -23,7 +27,7 @@ session, `open_session(recon, dag)`, over its DAG.  After each
 out is never mutated.
 
 * f_bfs.session places v by `bisect` on its immutable `level_key`.
-* f_fair.session resumes the round-robin loop from the one round that v
+* f_fair.session resumes `fair_leaders`' scan from the one round that v
   can change (see `_FairSession`).
 * A reconciler without a `session` attribute, f_lifo included, is rerun
   from scratch and reports position 0, which is exact for f_lifo.
@@ -50,32 +54,35 @@ def f_bfs(dag: CommandDag):
     return topo_sort(dag, dag.commands())
 
 
-def fair_leaders(dag: CommandDag):
-    """The past masks of f_fair's leaders, in the order it picks them.
+def _chain_masks(dag: CommandDag):
+    """The DAG's issuer ids, ascending, and each one's chain of past masks
+    by ascending seq."""
+    chains, past = dag.chains(), dag.past_masks().__getitem__
+    procs = sorted(chains)
+    return procs, [list(map(past, chains[j])) for j in procs]
 
-    The issuer pointer cycles over the ids present in the DAG, ascending,
-    starting at the smallest on every invocation.  A vertex v of issuer j
-    qualifies as a leader when v is not yet ordered and past(v) covers the
-    whole sequence built so far; the smallest qualifying sequence number
-    wins.  The loop stops after a full cycle with no qualifying issuer.
 
-    It scans the DAG's issuer chains by past mask.  The built sequence is
-    one leader's causal past, so down-closed, and past(v) holds v: v
-    qualifies iff its mask p strictly contains the sequence's mask s, that
-    is `s | p == p != s`.  So each mask strictly contains the one before.
+def _scan(procs, pasts, leaders, rnd, rr, ptr, misses, saved):
+    """Run f_fair's round-robin leader scan from round `rnd` to its end,
+    appending the leaders' past masks to `leaders`.
+
+    The issuer pointer `rr` cycles over `procs`, the DAG's issuer ids,
+    ascending, and `pasts[rr]` is the chain of past masks of issuer
+    `procs[rr]` (see `_chain_masks`).  A vertex v qualifies as a leader
+    when v is not yet ordered and past(v) covers the sequence built so
+    far, which is the last leader's past: down-closed, and past(v) holds
+    v, so v qualifies iff its mask p strictly contains the last mask s,
+    `s | p == p != s`.  The smallest qualifying sequence number wins; the
+    scan stops after a full cycle with no qualifying issuer.  The built
+    sequence only grows, so a vertex that is ordered or fails the test
+    never qualifies later, and the scan pointers `ptr` only move forward.
+    `saved` maps each issuer to the state `(round, len(leaders), rr, ptr,
+    misses)` at the start of its first miss round, one whose scan reaches
+    the end of its chain; an issuer already in `saved` keeps its entry.
     """
-    procs = sorted(dag.chains())
-    past = dag.past_masks().__getitem__
-    pasts = [list(map(past, dag.chains()[j])) for j in procs]
-    # Scan pointers only ever move forward: the built sequence only grows,
-    # so a vertex that is ordered or fails the coverage test never
-    # qualifies later.
-    ptr = [0] * len(procs)
-    leaders = []
-    seq_mask = 0
-    rr = 0
-    misses = 0
-    while misses < len(procs):
+    count = len(procs)
+    seq_mask = leaders[-1] if leaders else 0
+    while misses < count:
         chain = pasts[rr]
         for k in range(ptr[rr], len(chain)):
             p = chain[k]
@@ -86,9 +93,20 @@ def fair_leaders(dag: CommandDag):
                 seq_mask = p
                 break
         else:
+            if procs[rr] not in saved:
+                saved[procs[rr]] = (rnd, len(leaders), rr, list(ptr), misses)
             ptr[rr] = len(chain)
             misses += 1
-        rr = (rr + 1) % len(procs)
+        rr = (rr + 1) % count
+        rnd += 1
+
+
+def fair_leaders(dag: CommandDag):
+    """The past masks of f_fair's leaders, in the order it picks them: the
+    scan from round 0, with the issuer pointer at the smallest id."""
+    procs, pasts = _chain_masks(dag)
+    leaders = []
+    _scan(procs, pasts, leaders, 0, 0, [0] * len(procs), 0, {})
     return leaders
 
 
@@ -120,9 +138,11 @@ class _LevelOrder:
         self._dag = dag
         self.history = topo_sort(dag, dag.commands() if cmds is None
                                  else cmds)
-        self._keys = [level_key(dag, c) for c in self.history]
+        self._keys = None       # the history's level keys, once needed
 
     def insert(self, v):
+        if self._keys is None:
+            self._keys = [level_key(self._dag, c) for c in self.history]
         key = level_key(self._dag, v)
         pos = bisect_right(self._keys, key)
         self._keys.insert(pos, key)
@@ -133,30 +153,29 @@ class _LevelOrder:
 class _FairSession:
     """f_fair over a growing DAG, resumed from the one round v can change.
 
-    A round is one turn of the issuer pointer; it misses when its scan
-    reaches the end of the issuer's chain without finding a leader.  A new
-    vertex v of a known issuer i is childless and i's highest sequence
-    number, so it is in no other vertex's past and last in i's chain: only a
-    scan that reaches the end of i's chain can see it, and after i's first
-    miss round every round of i misses.  Every earlier round runs as before.
-    In that first miss round v leads iff past(v) covers the sequence built
-    so far.  If it does, the loop resumes from the state saved at the start
-    of that round.  If not, v fails the coverage test in every later round
-    too, because the built sequence only grows, so no round changes and v
-    joins the leftover batch by bisection.  A first vertex of a new issuer
-    changes the rotation, so the loop reruns from round 0; that happens
-    once per issuer.
+    A new vertex v of a known issuer i is childless and i's highest
+    sequence number, so it is in no other vertex's past and last in i's
+    chain: only a scan that reaches the end of i's chain can see it, and
+    after i's first miss round (see `_scan`) every round of i misses.
+    Every earlier round runs as before.  In that first miss round v leads
+    iff past(v) covers the sequence built so far.  If it does, `_scan`
+    resumes from the state saved at the start of that round.  If not, v
+    fails the coverage test in every later round too, because the built
+    sequence only grows, so no round changes and v joins the leftover
+    batch by bisection.  A first vertex of a new issuer changes the
+    rotation, so the scan reruns from round 0; that happens once per
+    issuer.
 
     Saved states of later rounds may hold a scan pointer to i that stops
     short of such a leftover v.  Resuming from one rescans v, which fails
-    again, so the result is the same.
+    again, so the result is the same.  The scan's chains of past masks
+    (`_chain_masks`) are kept too: v's mask is appended to i's.
     """
 
     def __init__(self, dag: CommandDag):
         self._dag = dag
-        # issuer -> (round, len(seq), seq_mask, rr, ptr, misses) at the
-        # start of its first miss round; every issuer has one after a run
-        self._saved = {}
+        self._saved = {}       # issuer -> its `_scan` state; all have one
+        self._leaders = []     # fair_leaders(dag)
         self._seq = []         # the sequence built by the leader rounds
         self._restart()
 
@@ -169,13 +188,19 @@ class _FairSession:
         if start is None:
             self._restart()
             pos = 0
-        elif start[2] & ~self._dag.past_mask(v):
-            pos = len(self._seq) + self._rest.insert(v)
-            self.history = self._seq + self._rest.history
-            return pos
         else:
+            # start[2], the issuer pointer in v's issuer's first miss
+            # round, points at that issuer
+            p = self._dag.past_mask(v)
+            self._pasts[start[2]].append(p)
+            count = start[1]
+            seq_mask = self._leaders[count - 1] if count else 0
+            if seq_mask & ~p:
+                pos = len(self._seq) + self._rest.insert(v)
+                self.history = self._seq + self._rest.history
+                return pos
             self._run(*start)
-            pos = start[1]
+            pos = seq_mask.bit_count()
         # A rerun rebuilds the history from `pos`, but often only appends
         # to it: v's leader round tends to take over the old leftover batch.
         new = self.history
@@ -185,37 +210,22 @@ class _FairSession:
         return pos
 
     def _restart(self):
-        self._procs = sorted(self._dag.chains())
-        self._run(0, 0, 0, 0, [0] * len(self._procs), 0)
+        self._procs, self._pasts = _chain_masks(self._dag)
+        self._run(0, 0, 0, [0] * len(self._procs), 0)
 
-    def _run(self, rnd, length, seq_mask, rr, ptr, misses):
-        """Run the loop of f_fair from the given round state to its end."""
-        dag, procs = self._dag, self._procs
-        chains, past = dag.chains(), dag.past_masks()
-        saved = {j: s for j, s in self._saved.items() if s[0] < rnd}
-        seq = self._seq
-        del seq[length:]
-        ptr = list(ptr)
-        while misses < len(procs):
-            j = procs[rr]
-            chain = chains[j]
-            for k in range(ptr[rr], len(chain)):
-                p = past[chain[k]]
-                if seq_mask | p == p != seq_mask:
-                    ptr[rr] = k
-                    misses = 0
-                    seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
-                    seq_mask = p
-                    break
-            else:
-                if j not in saved:
-                    saved[j] = (rnd, len(seq), seq_mask, rr, list(ptr),
-                                misses)
-                ptr[rr] = len(chain)
-                misses += 1
-            rr = (rr + 1) % len(procs)
-            rnd += 1
-        self._saved = saved
+    def _run(self, rnd, count, rr, ptr, misses):
+        """Resume the scan from the given round state, then rebuild the
+        batches of leaders `count` on and the leftover batch."""
+        dag, leaders, seq = self._dag, self._leaders, self._seq
+        del leaders[count:]
+        self._saved = {j: s for j, s in self._saved.items() if s[0] < rnd}
+        _scan(self._procs, self._pasts, leaders, rnd, rr, list(ptr), misses,
+              self._saved)
+        seq_mask = leaders[count - 1] if count else 0
+        del seq[seq_mask.bit_count():]
+        for p in leaders[count:]:
+            seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
+            seq_mask = p
         self._rest = _LevelOrder(dag, dag.expand_mask(dag.all_mask()
                                                       & ~seq_mask))
         self.history = seq + self._rest.history

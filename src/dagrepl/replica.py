@@ -51,7 +51,6 @@ class Replica:
         self.pending = {}
         self._broadcast = broadcast if broadcast else (lambda msg: None)
         self._on_insert = on_insert
-        self._seen_seq = {}   # issuer -> highest inserted sequence number
         self._session = open_session(recon, self.dag)
         # _states[i] is the state after the first i * _STRIDE commands;
         # _tip the furthest (position, state) replayed.  Both always
@@ -134,12 +133,12 @@ class Replica:
                    key=_uid, default=None)
 
     def _insert(self, v: Command, parents):
-        last = self._seen_seq.get(v.issuer, 0)
+        chain = self.dag.chains().get(v.issuer)
+        last = chain[-1].seq if chain else 0
         if v.seq != last + 1:
             raise InvariantViolation(
                 "sequence gap at replica %d: inserting %r after seq %d"
                 % (self.id, v, last))
-        self._seen_seq[v.issuer] = v.seq
         self.dag.insert(v, parents)
         self._changed_from(self._session.insert(v))
         if self._on_insert:

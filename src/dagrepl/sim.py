@@ -58,7 +58,6 @@ class Scenario:
     partitions: list = field(default_factory=list)   # [Partition, ...]
     seed: int = 0
     delay_max: int = 10
-    horizon: int = 0                   # max processed events; 0 = unlimited
     quiescence_flush: bool = True
     snapshot_every: int = 1
     deliveries: dict | None = None     # (dst, issuer, seq) -> time; scripted
@@ -72,7 +71,6 @@ class Scenario:
             "recon": self.recon,
             "seed": self.seed,
             "delay_max": self.delay_max,
-            "horizon": self.horizon,
             "quiescence_flush": self.quiescence_flush,
             "snapshot_every": self.snapshot_every,
             "workload": [[t, r, list(op)] for t, r, op in self.workload],
@@ -102,7 +100,6 @@ class Scenario:
                             for p in d.get("partitions", [])],
                 seed=d.get("seed", 0),
                 delay_max=d.get("delay_max", 10),
-                horizon=d.get("horizon", 0),
                 quiescence_flush=d.get("quiescence_flush", True),
                 snapshot_every=d.get("snapshot_every", 1),
                 deliveries=deliveries,
@@ -235,8 +232,7 @@ def _need(ok, what, value):
 
 def _validate(sc: Scenario):
     """Raise ConfigError naming the first malformed field of `sc`."""
-    for name, least in (("n", 1), ("delay_max", 1), ("snapshot_every", 1),
-                        ("horizon", 0)):
+    for name, least in (("n", 1), ("delay_max", 1), ("snapshot_every", 1)):
         value = getattr(sc, name)
         _need(_is_int(value) and value >= least,
               "%s must be an integer >= %d" % (name, least), value)
@@ -299,7 +295,6 @@ class _Sim:
                                    default=0)
         self.flush_base = (max(times, default=0)) + 1000
         self.flush_tick = 0
-        self.quiescent = False
         # (start, end, the (src, dst) pairs it cuts) of each partition
         self.cuts = [(p.start, p.end,
                       {pair for a, b in p.links for pair in ((a, b), (b, a))})
@@ -434,15 +429,9 @@ class _Sim:
         for p in sc.partitions:
             self._push(p.start, "part_start", p)
             self._push(p.end, "part_end", p)
-        processed = 0
-        truncated = False
         while self.heap:
-            if sc.horizon and processed >= sc.horizon:
-                truncated = True
-                break
             at, _, kind, payload = heapq.heappop(self.heap)
             self.now = at
-            processed += 1
             if kind == "append":
                 self._handle_append(*payload)
             elif kind == "recv":
@@ -458,11 +447,10 @@ class _Sim:
         for rid in sorted(self.replicas):
             if rid not in self.crashed:
                 self._snapshot(rid, force=True)
-        self.quiescent = sc.quiescence_flush and not truncated
         meta = {
             "schema": TRACE_SCHEMA,
             "scenario": sc.to_dict(),
-            "quiescent": self.quiescent,
+            "quiescent": sc.quiescence_flush,
             "crashed": sorted(self.crashed),
         }
         return Trace(meta, self.events)

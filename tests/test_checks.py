@@ -4,9 +4,9 @@ from collections import defaultdict
 
 import pytest
 
-from dagrepl.checks import _FairCert, _fair_verified, check_convergence, \
-    check_safety, check_stability, fairness_report, run_all_checks, \
-    stable_prefix
+from dagrepl.checks import _BatchCert, _batches_verified, \
+    check_convergence, check_safety, check_stability, fairness_report, \
+    run_all_checks, stable_prefix
 from dagrepl.dag import CommandDag
 from dagrepl.reconcile import f_bfs, f_fair, fair_leaders
 from dagrepl.sim import Trace, full_histories, run
@@ -275,10 +275,11 @@ def test_fair_recon_equivalence_matches_from_scratch(spoil):
     assert got["problems"] == expect[:10]
 
 
-def _fair_mutants(rng, dag, h):
-    """Changed copies of the f_fair history `h`: a swap inside a batch, a
-    swap across a batch boundary, a moved leader, a dropped element and a
-    duplicated one (in place of another, and added)."""
+def _mutants(rng, dag, h):
+    """Changed copies of `h`, f_bfs(dag) or f_fair(dag), placed by
+    f_fair's batches: a swap inside a batch, a swap across a batch
+    boundary, a moved leader, a dropped element and a duplicated one (in
+    place of another, and added)."""
     ends = [m.bit_count() for m in fair_leaders(dag)]
     starts = [0] + ends
     batches = [(a, b) for a, b in zip(starts, ends + [len(h)]) if b - a > 1]
@@ -316,42 +317,63 @@ def _random_dags(rng, count):
             yield random_protocol_dag(rng, 30, 4)
 
 
-def test_fair_certificate_is_exact_on_random_dags():
-    # the certificate accepts a history iff it is f_fair(dag), on protocol
+# reconciler -> the leader masks its certificate is given
+LEADERS = {f_bfs: lambda dag: [], f_fair: fair_leaders}
+
+
+def _certificate_is_exact_on_random_dags(recon, seed):
+    # the certificate accepts a history iff it is recon(dag), on protocol
     # DAGs and on DAGs with shuffled and repeated seqs alike
-    rng = random.Random(61)
+    rng = random.Random(seed)
     accepted = rejected = 0
     for dag in _random_dags(rng, 4000):
-        true = f_fair(dag)
+        true = recon(dag)
         cmds = {c: c for c in dag.commands()}
-        for h in [true] + _fair_mutants(rng, dag, true):
-            got = _fair_verified(dag, cmds, h, 0, _FairCert())
+        for h in [true] + _mutants(rng, dag, true):
+            got = _batches_verified(dag, cmds, h, 0, LEADERS[recon](dag),
+                                    _BatchCert())
             assert got == (h == true), (dag.commands(), h)
             accepted += got
             rejected += not got
     assert accepted >= 4000 and rejected > 15000
 
 
-def test_fair_certificate_is_exact_on_growing_dags():
+def test_fair_certificate_is_exact_on_random_dags():
+    _certificate_is_exact_on_random_dags(f_fair, 61)
+
+
+def test_bfs_certificate_is_exact_on_random_dags():
+    _certificate_is_exact_on_random_dags(f_bfs, 62)
+
+
+def _certificate_is_exact_on_growing_dags(recon, seed):
     # one state per DAG while it grows, each history true or a mutant:
     # a verdict never leans on a prefix that failed before
-    rng = random.Random(67)
+    rng = random.Random(seed)
     failed_then_kept = 0
     for whole in _random_dags(rng, 600):
         dag = CommandDag()
-        state = _FairCert()
+        state = _BatchCert()
         prev, prev_ok = [], True
         for v in whole.commands():
             dag.insert(v, whole.parents_of(v))
-            true = f_fair(dag)
-            h = rng.choice([true] + _fair_mutants(rng, dag, true))
+            true = recon(dag)
+            h = rng.choice([true] + _mutants(rng, dag, true))
             keep = lcp(prev, h)
-            got = _fair_verified(dag, {c: c for c in dag.commands()}, h,
-                                 keep, state)
+            got = _batches_verified(dag, {c: c for c in dag.commands()}, h,
+                                    keep, LEADERS[recon](dag), state)
             assert got == (h == true)
             failed_then_kept += not prev_ok and keep == len(prev)
             prev, prev_ok = h, got
     assert failed_then_kept > 50
+
+
+def test_fair_certificate_is_exact_on_growing_dags():
+    _certificate_is_exact_on_growing_dags(f_fair, 67)
+
+
+def test_bfs_certificate_is_exact_on_growing_dags():
+    _certificate_is_exact_on_growing_dags(f_bfs, 68)
 
 
 def _swap_pairs(rng, count=5):
@@ -392,15 +414,16 @@ def test_fair_certificate_matches_from_scratch_per_snapshot():
         trace = run(random_scenario(seed, "fair"))
         if seed % 2:
             trace = _mutated(trace, _swap_pairs(random.Random(seed)))
-        certs = defaultdict(_FairCert)
+        certs = defaultdict(_BatchCert)
         wrong_at = {}           # replica -> where its last snapshot erred
         for ev, h, dag in trace_snapshots(trace.events):
             rid = ev["replica"]
             h = [tuple(u) for u in h]
             true = [(c.issuer, c.seq) for c in f_fair(dag)]
             cmds = {(c.issuer, c.seq): c for c in dag.commands()}
-            assert _fair_verified(dag, cmds, h, ev["keep"],
-                                  certs[rid]) == (h == true)
+            assert _batches_verified(dag, cmds, h, ev["keep"],
+                                     fair_leaders(dag),
+                                     certs[rid]) == (h == true)
             kept_wrong += ev["keep"] > wrong_at.get(rid, len(h))
             if h == true:
                 wrong_at.pop(rid, None)

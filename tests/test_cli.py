@@ -139,6 +139,11 @@ def _string_quiescent(path):
     _edit_meta(path, lambda meta: meta.update(quiescent="yes"))
 
 
+def _huge_n(path):
+    # n far above the replicas the events name or the meta crashes
+    _edit_meta(path, lambda meta: meta["scenario"].update(n=100000))
+
+
 def _edit_events(path, edit):
     """Rewrite the trace at `path` with `edit` applied to its event list."""
     lines = path.read_text().splitlines()
@@ -269,7 +274,7 @@ def _unknown_kind(path):
                                    _string_keep, _negative_keep,
                                    _keep_above_previous,
                                    _history_without_delta,
-                                   _string_add_element])
+                                   _string_add_element, _huge_n])
 def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
     path = _fig1_trace(tmp_path)
     spoil(path)
@@ -401,7 +406,6 @@ def test_unknown_datatype_is_usage_error(capsys, tmp_path):
     (("delay_max",), 0),
     (("partitions", 0, "links", 0), [1, 2, 3]),
     (("workload", 0, 2), ["pop"]),
-    (("horizon",), -1),
     (("workload", 0, 2), []),
     (("workload", 0, 2), ["push", [1]]),
     (("quiescence_flush",), "no"),
@@ -410,7 +414,7 @@ def test_unknown_datatype_is_usage_error(capsys, tmp_path):
 ], ids=["string_n", "string_snapshot_every", "string_workload_time",
         "string_workload_replica", "string_crash_time",
         "string_partition_start", "list_seed", "zero_delay_max",
-        "three_replica_link", "unknown_op", "negative_horizon", "empty_op",
+        "three_replica_link", "unknown_op", "empty_op",
         "unhashable_op", "string_quiescence_flush", "string_delivery_time",
         "list_datatype"])
 def test_run_bad_scenario_is_usage_error(capsys, tmp_path, where, value):

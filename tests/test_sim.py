@@ -82,9 +82,9 @@ def test_partition_defers_but_delivers():
     assert all(ev["deliver_at"] >= 500 for ev in sends)
 
 
-def test_horizon_truncates_and_marks_nonquiescent():
+def test_no_flush_marks_nonquiescent():
     sc = random_scenario(5, "bfs")
-    sc.horizon = 10
+    sc.quiescence_flush = False
     trace = run(sc)
     assert not trace.meta["quiescent"]
 
