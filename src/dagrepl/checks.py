@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .dag import Command, CommandDag, DagError, EPSILON, level_key
 from .reconcile import fair_leaders, get_reconciler
-from .sim import ConfigError
+from .sim import ConfigError, resolve
 
 
 def _int(x):
@@ -75,7 +75,8 @@ class _Digest:
     the replica's previous history length, raising ConfigError that names the
     offending event otherwise, so the checkers trust what it records.  It
     also requires each replica in 1..n to be crashed or named by an event,
-    so that a hostile n cannot size the checkers' work.  It
+    so that a hostile n cannot size the checkers' work, and resolves the
+    meta's reconciler name, raising ConfigError for an unknown one.  It
     keeps each replica's current history as a list and a uid set, and
     records per snapshot the facts that need the set.
     """
@@ -84,6 +85,8 @@ class _Digest:
         meta = trace.meta
         self.n = meta["scenario"]["n"]
         self.recon_name = meta["scenario"]["recon"]
+        self.recon = resolve(get_reconciler, "scenario.recon",
+                             self.recon_name)
         self.quiescent = meta["quiescent"]
         self.crashed = set(meta["crashed"])
         self.appends = defaultdict(list)    # rid -> [(t, uid)]
@@ -431,7 +434,6 @@ def check_safety(trace):
     # invariants.  At each snapshot the history must equal the
     # reconciliation of the DAG, which also implies RF-Totality per
     # snapshot.
-    recon = get_reconciler(d.recon_name)
     certified = d.recon_name in ("bfs", "fair")
     dags = {rid: CommandDag() for rid in range(1, d.n + 1)}
     histories = defaultdict(list)
@@ -446,13 +448,13 @@ def check_safety(trace):
             h = histories[rid]
             _apply(h, delta.keep, delta.add)
             if not certified:
-                same = recon(dag) == list(map(cmds.get, h))
+                same = d.recon(dag) == list(map(cmds.get, h))
             else:
                 leaders = fair_leaders(dag) if d.recon_name == "fair" else []
                 same = _batches_verified(dag, cmds, h, delta.keep, leaders,
                                          certs[rid])
                 if i == len(d.snapshots[rid]) - 1:
-                    same = same and recon(dag) == list(map(cmds.get, h))
+                    same = same and d.recon(dag) == list(map(cmds.get, h))
             if not same:
                 problems["recon_equivalence"].append(
                     "replica %d snapshot at t=%d != recon(dag)" % (rid, t))

@@ -19,19 +19,8 @@ import sys
 
 from .checks import run_all_checks
 from .datatype import get_datatype, replay
-from .reconcile import get_reconciler
 from .scenarios import BUILTIN
 from .sim import ConfigError, Scenario, Trace, full_histories, run
-
-
-def _check_name(lookup, name):
-    """Turn an unknown registry name into a usage error."""
-    if not isinstance(name, str):
-        raise ConfigError("%r is not a name" % (name,))
-    try:
-        lookup(name)
-    except KeyError as exc:
-        raise ConfigError(exc.args[0]) from None
 
 
 def _load_scenario(spec: str, seed, recon) -> Scenario:
@@ -43,8 +32,6 @@ def _load_scenario(spec: str, seed, recon) -> Scenario:
         scenario.seed = seed
     if recon:
         scenario.recon = recon
-    _check_name(get_reconciler, scenario.recon)
-    _check_name(get_datatype, scenario.datatype)
     return scenario
 
 
@@ -103,7 +90,6 @@ def _cmd_run(args):
 
 def _cmd_check(args):
     trace = Trace.from_jsonl(args.trace)
-    _check_name(get_reconciler, trace.meta["scenario"]["recon"])
     verdicts = run_all_checks(trace, window=args.window)
     _write_report(args.report_out, trace.meta["scenario"], verdicts)
     return _print_verdicts(verdicts)

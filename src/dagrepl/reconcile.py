@@ -138,14 +138,12 @@ class _LevelOrder:
         self._dag = dag
         self.history = topo_sort(dag, dag.commands() if cmds is None
                                  else cmds)
-        self._keys = None       # the history's level keys, once needed
 
     def insert(self, v):
-        if self._keys is None:
-            self._keys = [level_key(self._dag, c) for c in self.history]
-        key = level_key(self._dag, v)
-        pos = bisect_right(self._keys, key)
-        self._keys.insert(pos, key)
+        # the raw lookup costs less per probe than `level_key`, and cannot
+        # miss: every history command is in the DAG
+        pos = bisect_right(self.history, level_key(self._dag, v),
+                           key=self._dag._key.__getitem__)
         self.history = self.history[:pos] + [v] + self.history[pos:]
         return pos
 

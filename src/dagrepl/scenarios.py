@@ -47,20 +47,20 @@ FIG1_BFS_ORDER = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (3, 2)]
 FIG1_FAIR_ORDER = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (1, 2), (1, 3)]
 
 
-def starvation_scenario(recon: str = "bfs", rounds: int = 10) -> Scenario:
+def starvation_scenario(recon: str = "bfs") -> Scenario:
     """Two NFS replicas; replica 2 is the starvation victim under f_bfs.
 
-    Each round, replica 1 creates a fresh directory, both replicas sync,
-    then replica 1 removes it while replica 2 concurrently creates a child
-    inside it.  The conflicting pair sits at equal DAG distance, so the
-    issuer-id tie-break orders the removal first every round and replica
-    2's command loses its issue-time basis.
+    In each of 10 rounds, replica 1 creates a fresh directory, both
+    replicas sync, then replica 1 removes it while replica 2 concurrently
+    creates a child inside it.  The conflicting pair sits at equal DAG
+    distance, so the issuer-id tie-break orders the removal first every
+    round and replica 2's command loses its issue-time basis.
     """
     workload = []
     deliveries = {}
     seq1 = 0
     seq2 = 0
-    for r in range(1, rounds + 1):
+    for r in range(1, 11):
         base = 100 * r
         d = "d%d" % r
         workload.append((base, 1, ("mkdir", "/", d)))
@@ -79,10 +79,11 @@ def starvation_scenario(recon: str = "bfs", rounds: int = 10) -> Scenario:
 STARVATION_VICTIM = 2
 
 
-def random_scenario(seed: int, recon: str = "bfs", n: int = 5,
-                    commands: int = 200, datatype: str = "intlog",
-                    snapshot_every: int = 10) -> Scenario:
-    """Random timed appends with one temporary partition and one crash."""
+def random_scenario(seed: int, recon: str = "bfs",
+                    commands: int = 200) -> Scenario:
+    """Random timed appends at 5 intlog replicas, with one temporary
+    partition and one crash."""
+    n = 5
     rng = random.Random("scenario-%d" % seed)
     workload = []
     t = 0
@@ -98,31 +99,29 @@ def random_scenario(seed: int, recon: str = "bfs", n: int = 5,
              for b in range(1, n + 1) if b not in group]
     victim = rng.randint(1, n)
     crash_t = rng.randint(2 * horizon_t // 3, horizon_t)
-    return Scenario(n=n, datatype=datatype, recon=recon, workload=workload,
+    return Scenario(n=n, datatype="intlog", recon=recon, workload=workload,
                     partitions=[Partition(links, cut_start,
                                           cut_start + cut_len)],
                     crashes=[(victim, crash_t)],
-                    seed=seed, delay_max=10,
-                    snapshot_every=snapshot_every,
+                    seed=seed, delay_max=10, snapshot_every=10,
                     name="random")
 
 
-def continuous_scenario(seed: int, recon: str = "bfs", n: int = 3,
-                        commands: int = 300,
-                        snapshot_every: int = 5) -> Scenario:
-    """Continuous input: no quiescence, messages in flight at the horizon
-    stay undelivered.  Used for the growing-stable-prefix checks."""
+def continuous_scenario(seed: int, recon: str = "bfs",
+                        commands: int = 300) -> Scenario:
+    """Continuous input at 3 intlog replicas: no quiescence, messages in
+    flight at the horizon stay undelivered.  Used for the growing-stable-
+    prefix checks."""
     rng = random.Random("continuous-%d" % seed)
     workload = []
     t = 0
     for k in range(commands):
         t += rng.randint(1, 3)
-        rid = rng.randint(1, n)
+        rid = rng.randint(1, 3)
         workload.append((t, rid, ("push", k)))
-    return Scenario(n=n, datatype="intlog", recon=recon, workload=workload,
+    return Scenario(n=3, datatype="intlog", recon=recon, workload=workload,
                     seed=seed, delay_max=8, quiescence_flush=False,
-                    snapshot_every=snapshot_every,
-                    name="continuous")
+                    snapshot_every=5, name="continuous")
 
 
 BUILTIN = {

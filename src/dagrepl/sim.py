@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .broadcast import ReliableBroadcast
 from .dag import Command
@@ -85,26 +85,19 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d):
+        """The scenario of a `to_dict` document; ConfigError names the
+        first thing wrong with it."""
+        if not isinstance(d, dict):
+            raise ConfigError("a scenario must be a JSON object, not %s"
+                              % type(d).__name__)
+        names = {f.name for f in fields(cls)}
+        for key in d:       # older scenario files hold the retired horizon
+            if key not in names and key != "horizon":
+                raise ConfigError("unknown scenario key %r" % (key,))
         try:
-            deliveries = d.get("deliveries")
-            if deliveries is not None:
-                deliveries = {(dst, j, s): t for dst, j, s, t in deliveries}
-            return cls(
-                n=d["n"],
-                datatype=d["datatype"],
-                recon=d["recon"],
-                workload=[(t, r, tuple(op)) for t, r, op in d["workload"]],
-                crashes=[(r, t) for r, t in d.get("crashes", [])],
-                partitions=[Partition([tuple(l) for l in p["links"]],
-                                      p["start"], p["end"])
-                            for p in d.get("partitions", [])],
-                seed=d.get("seed", 0),
-                delay_max=d.get("delay_max", 10),
-                quiescence_flush=d.get("quiescence_flush", True),
-                snapshot_every=d.get("snapshot_every", 1),
-                deliveries=deliveries,
-                name=d.get("name", ""),
-            )
+            return cls(**{key: _FROM_JSON[key](value)
+                          if key in _FROM_JSON else value
+                          for key, value in d.items() if key in names})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("malformed scenario: %s" % exc) from exc
 
@@ -115,8 +108,25 @@ class Scenario:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        with open(path, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:   # not JSON, or not UTF-8
+                raise ConfigError("%s is not a JSON file (%s)"
+                                  % (path, exc)) from None
+        return cls.from_dict(doc)
+
+
+# from_dict's converters from the JSON form of the fields that have one
+_FROM_JSON = {
+    "workload": lambda rows: [(t, r, tuple(op)) for t, r, op in rows],
+    "crashes": lambda rows: [(r, t) for r, t in rows],
+    "partitions": lambda rows: [Partition([tuple(l) for l in p["links"]],
+                                          p["start"], p["end"])
+                                for p in rows],
+    "deliveries": lambda rows: (None if rows is None else
+                                {(dst, j, s): t for dst, j, s, t in rows}),
+}
 
 
 TRACE_SCHEMA = 2
@@ -230,8 +240,19 @@ def _need(ok, what, value):
         raise ConfigError("%s, not %r" % (what, value))
 
 
+def resolve(lookup, what, name):
+    """`lookup(name)` of a registry; ConfigError naming `what` when `name`
+    is not one of its names."""
+    _need(isinstance(name, str), "%s must be a string" % what, name)
+    try:
+        return lookup(name)
+    except KeyError as exc:
+        raise ConfigError("%s: %s" % (what, exc.args[0])) from None
+
+
 def _validate(sc: Scenario):
-    """Raise ConfigError naming the first malformed field of `sc`."""
+    """The data type and the reconciler `sc` names; raise ConfigError
+    naming the first malformed field of `sc`."""
     for name, least in (("n", 1), ("delay_max", 1), ("snapshot_every", 1)):
         value = getattr(sc, name)
         _need(_is_int(value) and value >= least,
@@ -239,8 +260,8 @@ def _validate(sc: Scenario):
     _need(_is_int(sc.seed), "seed must be an integer", sc.seed)
     _need(isinstance(sc.quiescence_flush, bool),
           "quiescence_flush must be a boolean", sc.quiescence_flush)
-    spec = get_datatype(sc.datatype)
-    get_reconciler(sc.recon)
+    spec = resolve(get_datatype, "datatype", sc.datatype)
+    recon = resolve(get_reconciler, "recon", sc.recon)
 
     def replica(r):
         return _is_int(r) and 1 <= r <= sc.n
@@ -269,15 +290,17 @@ def _validate(sc: Scenario):
         _need(isinstance(key, tuple) and len(key) == 3
               and all(map(_is_int, (*key, t))),
               "a delivery must be four integers", (key, t))
+    if sc.deliveries is not None and sc.partitions:
+        raise ConfigError("a scenario with deliveries cannot have partitions:"
+                          " a scripted delivery time is final")
+    return spec, recon
 
 
 class _Sim:
     def __init__(self, scenario: Scenario):
-        _validate(scenario)
+        self.spec, self.recon = _validate(scenario)
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
-        self.spec = get_datatype(scenario.datatype)
-        self.recon = get_reconciler(scenario.recon)
         self.events = []
         self.step = 0
         self.now = 0
@@ -327,9 +350,10 @@ class _Sim:
         ev["t"] = self.step
         self.events.append(ev)
 
-    def _push(self, at, kind, payload):
+    def _push(self, at, handler, *args):
+        """Call `handler(*args)` at time `at`; ties run in push order."""
         self.push_counter += 1
-        heapq.heappush(self.heap, (at, self.push_counter, kind, payload))
+        heapq.heappush(self.heap, (at, self.push_counter, handler, args))
 
     def _snapshot(self, rid, force=False):
         self.handler_count[rid] += 1
@@ -374,7 +398,7 @@ class _Sim:
                     "uid": [msg.vertex.issuer, msg.vertex.seq],
                     "at": self.now, "deliver_at": at})
         if at is not None:
-            self._push(at, "recv", (src, dst, msg))
+            self._push(at, self._handle_recv, src, dst, msg)
 
     def _rb_deliver(self, rid, msg):
         self._emit({"kind": "deliver", "replica": rid,
@@ -423,27 +447,17 @@ class _Sim:
     def run(self):
         sc = self.scenario
         for t, r, op in sc.workload:
-            self._push(t, "append", (r, op))
+            self._push(t, self._handle_append, r, op)
         for r, t in sc.crashes:
-            self._push(t, "crash", r)
+            self._push(t, self._handle_crash, r)
         for p in sc.partitions:
-            self._push(p.start, "part_start", p)
-            self._push(p.end, "part_end", p)
+            for at, kind in ((p.start, "partition_start"),
+                             (p.end, "partition_end")):
+                self._push(at, self._emit,
+                           {"kind": kind, "links": [list(l) for l in p.links]})
         while self.heap:
-            at, _, kind, payload = heapq.heappop(self.heap)
-            self.now = at
-            if kind == "append":
-                self._handle_append(*payload)
-            elif kind == "recv":
-                self._handle_recv(*payload)
-            elif kind == "crash":
-                self._handle_crash(payload)
-            elif kind == "part_start":
-                self._emit({"kind": "partition_start",
-                            "links": [list(l) for l in payload.links]})
-            elif kind == "part_end":
-                self._emit({"kind": "partition_end",
-                            "links": [list(l) for l in payload.links]})
+            self.now, _, handler, args = heapq.heappop(self.heap)
+            handler(*args)
         for rid in sorted(self.replicas):
             if rid not in self.crashed:
                 self._snapshot(rid, force=True)

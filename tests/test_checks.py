@@ -9,7 +9,7 @@ from dagrepl.checks import _BatchCert, _batches_verified, \
     run_all_checks, stable_prefix
 from dagrepl.dag import CommandDag
 from dagrepl.reconcile import f_bfs, f_fair, fair_leaders
-from dagrepl.sim import Trace, full_histories, run
+from dagrepl.sim import ConfigError, Trace, full_histories, run
 from dagrepl.scenarios import STARVATION_VICTIM, continuous_scenario, \
     fig1_scenario, random_scenario, starvation_scenario
 
@@ -583,3 +583,11 @@ def test_run_all_checks_aggregates(random_trace):
     assert verdicts["stability"]["ok"]
     assert verdicts["fairness"]["ok"]
     assert verdicts["convergence"]["ok"]
+
+
+@pytest.mark.parametrize("recon", ["bogus", ["fair"]], ids=["bogus", "list"])
+def test_run_all_checks_rejects_unknown_recon(random_trace, recon):
+    meta = copy.deepcopy(random_trace.meta)
+    meta["scenario"]["recon"] = recon
+    with pytest.raises(ConfigError, match="recon"):
+        run_all_checks(Trace(meta, random_trace.events))

@@ -395,29 +395,34 @@ def test_unknown_datatype_is_usage_error(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where, value", [
-    (("n",), "3"),
-    (("snapshot_every",), "2"),
-    (("workload", 0, 0), "1"),
-    (("workload", 0, 1), "1"),
-    (("crashes", 0, 1), "x"),
-    (("partitions", 0, "start"), "a"),
-    (("seed",), [1]),
-    (("delay_max",), 0),
-    (("partitions", 0, "links", 0), [1, 2, 3]),
-    (("workload", 0, 2), ["pop"]),
-    (("workload", 0, 2), []),
-    (("workload", 0, 2), ["push", [1]]),
-    (("quiescence_flush",), "no"),
-    (("deliveries",), [[1, 1, 1, "x"]]),
-    (("datatype",), ["intlog"]),
+@pytest.mark.parametrize("where, value, named", [
+    (("n",), "3", "n must"),
+    (("snapshot_every",), "2", "snapshot_every"),
+    (("workload", 0, 0), "1", "workload time"),
+    (("workload", 0, 1), "1", "workload replica"),
+    (("crashes", 0, 1), "x", "crash"),
+    (("partitions", 0, "start"), "a", "partition"),
+    (("seed",), [1], "seed"),
+    (("delay_max",), 0, "delay_max"),
+    (("partitions", 0, "links", 0), [1, 2, 3], "partition link"),
+    (("workload", 0, 2), ["pop"], "workload op"),
+    (("workload", 0, 2), [], "workload op"),
+    (("workload", 0, 2), ["push", [1]], "workload op"),
+    (("quiescence_flush",), "no", "quiescence_flush"),
+    (("deliveries",), [[1, 1, 1, "x"]], "delivery"),
+    (("datatype",), ["intlog"], "datatype"),
+    (("snapshot_evry",), 0, "'snapshot_evry'"),
+    (("recon",), ["bfs"], "recon"),
+    (("deliveries",), [[2, 1, 1, 5]], "partitions"),
 ], ids=["string_n", "string_snapshot_every", "string_workload_time",
         "string_workload_replica", "string_crash_time",
         "string_partition_start", "list_seed", "zero_delay_max",
         "three_replica_link", "unknown_op", "empty_op",
         "unhashable_op", "string_quiescence_flush", "string_delivery_time",
-        "list_datatype"])
-def test_run_bad_scenario_is_usage_error(capsys, tmp_path, where, value):
+        "list_datatype", "misspelled_field", "list_recon",
+        "deliveries_with_partitions"])
+def test_run_bad_scenario_is_usage_error(capsys, tmp_path, where, value,
+                                         named):
     doc = random_scenario(8, "bfs").to_dict()
     node = doc
     for key in where[:-1]:
@@ -426,7 +431,30 @@ def test_run_bad_scenario_is_usage_error(capsys, tmp_path, where, value):
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, named", [
+    (b'[{"n": 2}]', "JSON object"),
+    (b'{"n": ', "not a JSON file"),
+    (b'{"name": "\xff"}', "not a JSON file"),
+], ids=["list", "truncated", "not_utf8"])
+def test_scenario_file_not_a_json_object_is_usage_error(capsys, tmp_path,
+                                                        data, named):
+    path = tmp_path / "sc.json"
+    path.write_bytes(data)
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_retired_horizon_key_is_ignored(capsys, tmp_path):
+    # scenario files written before `horizon` was retired still run
+    doc = random_scenario(8, "bfs").to_dict()
+    doc["horizon"] = 0
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path)]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_internal_key_error_propagates(capsys, tmp_path, monkeypatch):

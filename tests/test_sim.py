@@ -104,7 +104,7 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         run(Scenario(n=2, datatype="intlog", recon="bfs", workload=[],
                      snapshot_every=0))
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError):
         run(Scenario(n=2, datatype="intlog", recon="bogus", workload=[]))
 
 
@@ -180,7 +180,8 @@ def test_keep_is_exact(build, recon, every):
     reconcile = oracle_f_fair if recon == "fair" else get_reconciler(recon)
     revoked = 0
     for seed in range(8):
-        sc = build(seed, recon, commands=30, snapshot_every=every)
+        sc = build(seed, recon, commands=30)
+        sc.snapshot_every = every
         prev = {}
         for ev, h, dag in trace_snapshots(run(sc).events):
             old = prev.get(ev["replica"], [])
