@@ -35,6 +35,18 @@ def _load_scenario(spec: str, seed, recon) -> Scenario:
     return scenario
 
 
+def _at_least_one(text):
+    """argparse type of --window and --seeds: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, not %r"
+                                         % text)
+    return value
+
+
 def _first_problems(name, v):
     """One line per reason a failed verdict failed, naming its first
     problem."""
@@ -146,13 +158,13 @@ def build_parser():
     p_run.add_argument("--recon", default=None)
     p_run.add_argument("--trace-out", default=None)
     p_run.add_argument("--report-out", default=None)
-    p_run.add_argument("--window", type=int, default=10)
+    p_run.add_argument("--window", type=_at_least_one, default=10)
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="re-check an existing trace")
     p_check.add_argument("--trace", required=True)
     p_check.add_argument("--report-out", default=None)
-    p_check.add_argument("--window", type=int, default=10)
+    p_check.add_argument("--window", type=_at_least_one, default=10)
     p_check.set_defaults(func=_cmd_check)
 
     p_fig1 = sub.add_parser(
@@ -161,9 +173,9 @@ def build_parser():
 
     p_fuzz = sub.add_parser("fuzz", help="sweep seeds over a scenario")
     p_fuzz.add_argument("--scenario", required=True)
-    p_fuzz.add_argument("--seeds", type=int, default=20)
+    p_fuzz.add_argument("--seeds", type=_at_least_one, default=20)
     p_fuzz.add_argument("--recon", default=None)
-    p_fuzz.add_argument("--window", type=int, default=10)
+    p_fuzz.add_argument("--window", type=_at_least_one, default=10)
     p_fuzz.set_defaults(func=_cmd_fuzz)
     return parser
 

@@ -12,15 +12,18 @@ longest common prefix with the replica's previous snapshot in the trace,
 and `add` the commands after it, so a snapshot costs the change, not the
 history.  `keep` below the previous length is a revocation.
 `full_histories` decodes the deltas back into full histories.  A trace
-file holds one compact, sorted-key JSON value per line; reading takes
-any spacing that per-line `json.loads` takes.
+file holds one compact, sorted-key JSON value per line; the int-only
+send, deliver and insert lines are formatted directly, with the same
+bytes.  Reading takes any spacing that per-line `json.loads` takes.
 
 Timing model: channel delays are drawn from the seeded RNG (or pinned by
 an explicit per-message delivery script); partitions defer deliveries on
 cut links until the partition ends, never dropping them.  A crash
 permanently silences a replica; messages it still had in flight are
 dropped or kept per destination (seeded coin), which is what exercises the
-broadcast layer's forwarding path.
+broadcast layer's forwarding path.  A channel send of a vertex the
+destination already holds is recorded as a `send` event but its receipt
+is never scheduled: the broadcast layer would drop it as a duplicate.
 """
 
 from __future__ import annotations
@@ -189,6 +192,63 @@ def _json_error(line):
         return exc
 
 
+# The send, deliver and insert lines, most of a trace, are written from
+# %-templates of their sorted keys.  A template holds only for the exact
+# keys with exact ints, where `%s` gives the JSON bytes (a bool is an int
+# that JSON writes as true or false), and lists of two of them, which
+# `str` writes as JSON but for the spaces; any other event goes to
+# `_encode`.
+def _pair(x):
+    return type(x) is list and len(x) == 2 \
+        and type(x[0]) is int and type(x[1]) is int
+
+
+def _send_line(ev):
+    at, late, dst, src, t, uid = (ev["at"], ev["deliver_at"], ev["dst"],
+                                  ev["src"], ev["t"], ev["uid"])
+    if len(ev) == 7 and type(at) is int and type(dst) is int \
+            and type(src) is int and type(t) is int and _pair(uid) \
+            and (late is None or type(late) is int):
+        return ('{"at":%s,"deliver_at":%s,"dst":%s,"kind":"send","src":%s,'
+                '"t":%s,"uid":[%s,%s]}' % (at, "null" if late is None
+                                           else late, dst, src, t, *uid))
+
+
+def _deliver_line(ev):
+    replica, t, uid = ev["replica"], ev["t"], ev["uid"]
+    if len(ev) == 4 and type(replica) is int and type(t) is int \
+            and _pair(uid):
+        return ('{"kind":"deliver","replica":%s,"t":%s,"uid":[%s,%s]}'
+                % (replica, t, *uid))
+
+
+def _insert_line(ev):
+    parents, replica, t, vertex = (ev["parents"], ev["replica"], ev["t"],
+                                   ev["vertex"])
+    if len(ev) == 5 and type(replica) is int and type(t) is int \
+            and _pair(vertex) and type(parents) is list \
+            and all(map(_pair, parents)):
+        return ('{"kind":"insert","parents":%s,"replica":%s,"t":%s,'
+                '"vertex":[%s,%s]}'
+                % (str(parents).replace(" ", ""), replica, t, *vertex))
+
+
+# kind -> its line from a template, or None where the template is not exact
+_TEMPLATED = {"send": _send_line, "deliver": _deliver_line,
+              "insert": _insert_line}
+
+
+def _line(ev):
+    """`_encode(ev)`, formatted directly for the common event kinds."""
+    kind = ev.get("kind")
+    template = _TEMPLATED.get(kind) if type(kind) is str else None
+    try:
+        line = template and template(ev)
+    except KeyError:        # a templated kind without one of its keys
+        line = None
+    return line or _encode(ev)
+
+
 class Trace:
     def __init__(self, meta, events):
         self.meta = meta
@@ -196,7 +256,7 @@ class Trace:
 
     def to_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_encode(ev) + "\n"
+            fh.writelines(_line(ev) + "\n"
                           for ev in [self.meta, *self.events])
 
     @classmethod
@@ -397,7 +457,9 @@ class _Sim:
         self._emit({"kind": "send", "src": src, "dst": dst,
                     "uid": [msg.vertex.issuer, msg.vertex.seq],
                     "at": self.now, "deliver_at": at})
-        if at is not None:
+        # a vertex dst already holds is in its broadcast layer's seen set,
+        # so the receipt would be dropped untouched: it is not scheduled
+        if at is not None and msg.vertex not in self.replicas[dst].dag:
             self._push(at, self._handle_recv, src, dst, msg)
 
     def _rb_deliver(self, rid, msg):

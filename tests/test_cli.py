@@ -91,6 +91,25 @@ def test_bad_args_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args, named", [
+    (["run", "--scenario", "starvation", "--recon", "fair",
+      "--window", "-100"], "--window"),
+    (["run", "--scenario", "starvation", "--recon", "fair",
+      "--window", "0"], "--window"),
+    (["run", "--scenario", "fig1", "--window", "ten"], "--window"),
+    (["check", "--trace", "t.jsonl", "--window", "0"], "--window"),
+    (["fuzz", "--scenario", "random", "--window", "0"], "--window"),
+    (["fuzz", "--scenario", "random", "--seeds", "-3"], "--seeds"),
+    (["fuzz", "--scenario", "random", "--seeds", "0"], "--seeds"),
+], ids=["run_negative_window", "run_zero_window", "run_word_window",
+        "check_zero_window", "fuzz_zero_window", "fuzz_negative_seeds",
+        "fuzz_zero_seeds"])
+def test_count_options_must_be_positive(capsys, args, named):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "argument %s: must be an integer >= 1" % named in err
+
+
 def _fig1_trace(tmp_path):
     path = tmp_path / "trace.jsonl"
     assert main(["run", "--scenario", "fig1", "--trace-out", str(path)]) == 0

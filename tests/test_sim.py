@@ -9,7 +9,7 @@ from dagrepl.reconcile import get_reconciler
 from dagrepl.sim import ConfigError, Partition, Scenario, Trace, \
     full_histories, run
 from dagrepl.scenarios import FIG1_BFS_ORDER, FIG1_FAIR_ORDER, \
-    continuous_scenario, fig1_scenario, random_scenario
+    continuous_scenario, fig1_scenario, random_scenario, starvation_scenario
 
 from oracles import lcp, oracle_f_fair, trace_snapshots
 
@@ -289,3 +289,120 @@ def test_bad_line_is_usage_error_naming_it(capsys, tmp_path, spoil):
     number = spoil(path)
     assert main(["check", "--trace", str(path)]) == 2
     assert "line %d is not JSON" % number in capsys.readouterr().err
+
+
+def _writer_scenarios():
+    for recon in ("bfs", "fair"):
+        yield fig1_scenario(recon)
+        yield starvation_scenario(recon)
+    for seed in range(6):
+        for recon in ("bfs", "fair", "lifo"):
+            yield random_scenario(seed, recon)
+            yield continuous_scenario(seed, recon)
+
+
+def test_written_lines_are_the_encoder_lines(tmp_path):
+    path = tmp_path / "t.jsonl"
+    for sc in _writer_scenarios():
+        trace = run(sc)
+        trace.to_jsonl(path)
+        expected = "".join(sim._encode(ev) + "\n"
+                           for ev in [trace.meta, *trace.events])
+        assert path.read_text(encoding="utf-8") == expected, sc.name
+
+
+def _perturbed(ev):
+    """Copies of a templated event with one field of another type or
+    shape, one key too many or too few, or a kind that is not a string."""
+    odd = [True, 1.5, "1", None, 2**70, -1, [1]]
+    for key, value in ev.items():
+        if type(value) is int or value is None:     # t, at, deliver_at, ...
+            for x in odd:
+                yield {**ev, key: x}
+        elif key in ("uid", "vertex"):
+            for i in (0, 1):
+                for x in odd:
+                    pair = list(value)
+                    pair[i] = x
+                    yield {**ev, key: pair}
+            for x in (tuple(value), value[:1], [*value, 1],
+                      {0: value[0], 1: value[1]}):
+                yield {**ev, key: x}
+        elif key == "parents":
+            yield {**ev, key: [tuple(p) for p in value]}
+            yield {**ev, key: tuple(value)}
+            yield {**ev, key: {}}
+            yield {**ev, key: [[1, 2], [1]]}
+            yield {**ev, key: [[1, 2], [1, 2, 3]]}
+            yield {**ev, key: [[1, True], [1, 2]]}
+            yield {**ev, key: [{0: 1, 1: 2}]}
+            yield {**ev, key: [[1, 2], [1, 2.0]]}
+    for extra in ("x", "zz", 0):
+        yield {**ev, extra: 1}
+    for key in ev:
+        less = {k: v for k, v in ev.items() if k != key}
+        yield less
+        yield {**less, "x": 1}
+    for kind in (1, None, ["send"], b"send", ("send",)):
+        yield {**ev, "kind": kind}
+
+
+def test_template_lines_match_the_encoder_on_odd_events():
+    trace = run(random_scenario(0, "bfs"))
+    samples = []
+    for kind in ("send", "deliver", "insert"):
+        samples.append(next(ev for ev in trace.events
+                            if ev["kind"] == kind))
+    samples.append({**samples[0], "deliver_at": None})
+    samples.append(next(ev for ev in trace.events
+                        if ev["kind"] == "insert" and len(ev["parents"]) > 1))
+    samples.append({**samples[2], "parents": []})
+    checked = 0
+    for sample in samples:
+        assert sim._line(sample) == sim._encode(sample)
+        for ev in _perturbed(sample):
+            try:
+                expected = sim._encode(ev)
+            except (TypeError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    sim._line(ev)
+            else:
+                assert sim._line(ev) == expected, ev
+            checked += 1
+    assert checked > 300
+
+
+class _EveryReceipt(sim._Sim):
+    """The simulator that schedules every channel receipt, also of a
+    vertex the destination already holds."""
+
+    def _send(self, src, dst, msg):
+        at = self._deliver_time(src, dst, msg)
+        self._emit({"kind": "send", "src": src, "dst": dst,
+                    "uid": [msg.vertex.issuer, msg.vertex.seq],
+                    "at": self.now, "deliver_at": at})
+        if at is not None:
+            self._push(at, self._handle_recv, src, dst, msg)
+
+
+def _schedule_scenarios():
+    for seed in range(10):
+        for recon in ("bfs", "fair"):
+            yield random_scenario(seed, recon)
+    for seed in range(5):
+        for recon in ("bfs", "fair", "lifo"):
+            yield continuous_scenario(seed, recon)
+    for recon in ("bfs", "fair"):
+        yield starvation_scenario(recon)
+    sc = random_scenario(5, "fair")
+    sc.quiescence_flush = False
+    yield sc
+
+
+def test_unscheduled_duplicate_receipts_change_no_event():
+    skipped = 0
+    for sc in _schedule_scenarios():
+        every, held = _EveryReceipt(sc), sim._Sim(sc)
+        assert every.run().events == held.run().events, (sc.name, sc.seed)
+        skipped += every.push_counter - held.push_counter
+    assert skipped > 0
