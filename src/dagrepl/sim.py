@@ -13,8 +13,10 @@ and `add` the commands after it, so a snapshot costs the change, not the
 history.  `keep` below the previous length is a revocation.
 `full_histories` decodes the deltas back into full histories.  A trace
 file holds one compact, sorted-key JSON value per line; the int-only
-send, deliver and insert lines are formatted directly, with the same
-bytes.  Reading takes any spacing that per-line `json.loads` takes.
+send, deliver, insert and history lines are formatted directly, with the
+same bytes.  Reading takes any spacing that per-line `json.loads` takes;
+the lines in the writer's int-only form are parsed many to one call, so
+that their events share their key strings.
 
 Timing model: channel delays are drawn from the seeded RNG (or pinned by
 an explicit per-message delivery script); partitions defer deliveries on
@@ -24,6 +26,8 @@ dropped or kept per destination (seeded coin), which is what exercises the
 broadcast layer's forwarding path.  A channel send of a vertex the
 destination already holds is recorded as a `send` event but its receipt
 is never scheduled: the broadcast layer would drop it as a duplicate.
+A scenario may make at most `_SEND_BUDGET` channel sends, n(n-1) per
+command.  When `run` returns, only the trace is left of the simulation.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+import re
 from dataclasses import dataclass, field, fields
 
 from .broadcast import ReliableBroadcast
@@ -114,7 +119,8 @@ class Scenario:
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as exc:   # not JSON, or not UTF-8
+            # not JSON, not UTF-8, an int past the digit limit, too deep
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError("%s is not a JSON file (%s)"
                                   % (path, exc)) from None
         return cls.from_dict(doc)
@@ -161,17 +167,34 @@ def _read_jsonl(path):
 
     It accepts and rejects exactly the lines that per-line `json.loads`
     does: a line is one JSON value with optional JSON whitespace around it.
-    The C scanner parses each line; `json.loads` runs only on a line the
-    scanner rejected, for its error message.
+    Template lines are parsed `_RUN` at a time in one call, so that their
+    events share their key strings.  The C scanner parses every other line;
+    `json.loads` runs only on a line the scanner rejected, for its error
+    message.
     """
-    values = []
+    values, run, slots = [], [], []     # slots: where run's values go
+
+    def parse_run():
+        for at, value in zip(slots, json.loads("[%s]" % ",".join(run))):
+            values[at] = value
+        run.clear()
+        slots.clear()
+
     with open(path, encoding="utf-8") as fh:
         try:
             for number, line in enumerate(fh, 1):
+                if _TEMPLATE_LINE(line):
+                    slots.append(len(values))
+                    values.append(None)
+                    run.append(line)
+                    if len(run) == _RUN:
+                        parse_run()
+                    continue
                 text = line.strip(_JSON_SPACE)
                 try:
                     value, end = _scan(text, 0)
-                except (StopIteration, json.JSONDecodeError):
+                # a ValueError also stands for an int past the digit limit
+                except (StopIteration, ValueError, RecursionError):
                     end = None
                 if end == len(text):
                     values.append(value)
@@ -181,6 +204,7 @@ def _read_jsonl(path):
         except UnicodeDecodeError as exc:
             raise ConfigError("%s is not UTF-8 text (%s)"
                               % (path, exc)) from None
+    parse_run()
     return values
 
 
@@ -188,12 +212,12 @@ def _json_error(line):
     """Why per-line `json.loads` rejects `line`."""
     try:
         json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         return exc
 
 
-# The send, deliver and insert lines, most of a trace, are written from
-# %-templates of their sorted keys.  A template holds only for the exact
+# The send, deliver, insert and history lines, most of a trace, are written
+# from %-templates of their sorted keys.  A template holds only for the exact
 # keys with exact ints, where `%s` gives the JSON bytes (a bool is an int
 # that JSON writes as true or false), and lists of two of them, which
 # `str` writes as JSON but for the spaces; any other event goes to
@@ -233,9 +257,18 @@ def _insert_line(ev):
                 % (str(parents).replace(" ", ""), replica, t, *vertex))
 
 
+def _history_line(ev):
+    add, keep, replica, t = ev["add"], ev["keep"], ev["replica"], ev["t"]
+    if len(ev) == 5 and type(keep) is int and type(replica) is int \
+            and type(t) is int and type(add) is list \
+            and all(map(_pair, add)):
+        return ('{"add":%s,"keep":%s,"kind":"history","replica":%s,"t":%s}'
+                % (str(add).replace(" ", ""), keep, replica, t))
+
+
 # kind -> its line from a template, or None where the template is not exact
 _TEMPLATED = {"send": _send_line, "deliver": _deliver_line,
-              "insert": _insert_line}
+              "insert": _insert_line, "history": _history_line}
 
 
 def _line(ev):
@@ -247,6 +280,26 @@ def _line(ev):
     except KeyError:        # a templated kind without one of its keys
         line = None
     return line or _encode(ev)
+
+
+# A line of the writer's compact sorted-key form of a send, deliver, insert
+# or history event (`_line`), with canonical ints of at most 18 digits.  It
+# is exactly one JSON value, so a run of such lines joined by commas is one
+# JSON array; the digit bound keeps that parse below the int digit limit.
+_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+_PAIR = r"\[%s,%s\]" % (_INT, _INT)
+_PAIRS = r"\[(?:%s(?:,%s)*)?\]" % (_PAIR, _PAIR)
+_TEMPLATE_LINE = re.compile((
+    r'(?:\{"at":%(i)s,"deliver_at":(?:%(i)s|null),"dst":%(i)s,"kind":"send",'
+    r'"src":%(i)s,"t":%(i)s,"uid":%(p)s\}'
+    r'|\{"kind":"deliver","replica":%(i)s,"t":%(i)s,"uid":%(p)s\}'
+    r'|\{"kind":"insert","parents":%(ps)s,"replica":%(i)s,"t":%(i)s,'
+    r'"vertex":%(p)s\}'
+    r'|\{"add":%(ps)s,"keep":%(i)s,"kind":"history","replica":%(i)s,'
+    r'"t":%(i)s\})\n?') % {"i": _INT, "p": _PAIR, "ps": _PAIRS}).fullmatch
+# The most template lines parsed in one call.  The scanner shares key
+# strings only within a call; the cap bounds the joined text.
+_RUN = 1024
 
 
 class Trace:
@@ -310,6 +363,11 @@ def resolve(lookup, what, name):
         raise ConfigError("%s: %s" % (what, exc.args[0])) from None
 
 
+# The most channel sends a scenario may make: n(n-1) per command, as every
+# replica relays each vertex to every other on first receipt.
+_SEND_BUDGET = 10**6
+
+
 def _validate(sc: Scenario):
     """The data type and the reconciler `sc` names; raise ConfigError
     naming the first malformed field of `sc`."""
@@ -317,6 +375,11 @@ def _validate(sc: Scenario):
         value = getattr(sc, name)
         _need(_is_int(value) and value >= least,
               "%s must be an integer >= %d" % (name, least), value)
+    sends = sc.n * (sc.n - 1) * max(1, len(sc.workload))
+    if sends > _SEND_BUDGET:
+        raise ConfigError("n = %d and a workload of %d make up to %d "
+                          "channel sends, over the budget of %d"
+                          % (sc.n, len(sc.workload), sends, _SEND_BUDGET))
     _need(_is_int(sc.seed), "seed must be an integer", sc.seed)
     _need(isinstance(sc.quiescence_flush, bool),
           "quiescence_flush must be a boolean", sc.quiescence_flush)
@@ -529,6 +592,9 @@ class _Sim:
             "quiescent": sc.quiescence_flush,
             "crashed": sorted(self.crashed),
         }
+        # the broadcast layer and the replicas call back into the sim; drop
+        # them so that the run is freed with the sim, not by a collection
+        del self.rb, self.replicas
         return Trace(meta, self.events)
 
 

@@ -302,6 +302,20 @@ def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    '{"kind":"deliver","replica":1,"t":1%s,"uid":[1,1]}' % ("0" * 4300),
+    "[" * 100000,
+], ids=["int_past_digit_limit", "deep_nesting"])
+def test_hostile_trace_line_is_usage_error_naming_it(capsys, tmp_path, line):
+    path = _fig1_trace(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[3] = line
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path)]) == 2
+    assert "line 4 is not JSON" in capsys.readouterr().err
+
+
 def _repeat_kept_command(path):
     def edit(events):
         # a later snapshot of a replica adds its first command again
@@ -453,11 +467,24 @@ def test_run_bad_scenario_is_usage_error(capsys, tmp_path, where, value,
     assert named in capsys.readouterr().err
 
 
+def test_scenario_over_the_send_budget_is_usage_error(capsys, tmp_path):
+    # 1001 replicas make 1001 * 1000 channel sends for one command
+    doc = random_scenario(8, "bfs").to_dict()
+    doc.update(n=1001, workload=doc["workload"][:1])
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "1001000 channel sends" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("data, named", [
     (b'[{"n": 2}]', "JSON object"),
     (b'{"n": ', "not a JSON file"),
     (b'{"name": "\xff"}', "not a JSON file"),
-], ids=["list", "truncated", "not_utf8"])
+    (b"[" * 100000, "not a JSON file"),
+    (b'{"n": 1%s}' % (b"0" * 4300), "not a JSON file"),
+], ids=["list", "truncated", "not_utf8", "deep_nesting",
+        "int_past_digit_limit"])
 def test_scenario_file_not_a_json_object_is_usage_error(capsys, tmp_path,
                                                         data, named):
     path = tmp_path / "sc.json"

@@ -1,14 +1,17 @@
+import gc
 import json
 
 import pytest
 
 from dagrepl import sim
+from dagrepl.broadcast import ReliableBroadcast
 from dagrepl.checks import check_convergence, check_safety, run_all_checks
 from dagrepl.cli import main
 from dagrepl.reconcile import get_reconciler
+from dagrepl.replica import Replica
 from dagrepl.sim import ConfigError, Partition, Scenario, Trace, \
     full_histories, run
-from dagrepl.scenarios import FIG1_BFS_ORDER, FIG1_FAIR_ORDER, \
+from dagrepl.scenarios import BUILTIN, FIG1_BFS_ORDER, FIG1_FAIR_ORDER, \
     continuous_scenario, fig1_scenario, random_scenario, starvation_scenario
 
 from oracles import lcp, oracle_f_fair, trace_snapshots
@@ -106,6 +109,20 @@ def test_config_errors():
                      snapshot_every=0))
     with pytest.raises(ConfigError):
         run(Scenario(n=2, datatype="intlog", recon="bogus", workload=[]))
+
+
+def test_send_budget_bounds_replicas_and_commands():
+    # n(n-1) channel sends per command; `_Sim` validates before it builds
+    one = [(1, 1, ("push", 1))]
+    many = [(t, 1, ("push", t)) for t in range(50000)]
+    for n, workload in ((1000, one), (1, []), (5, many)):
+        sim._validate(Scenario(n=n, datatype="intlog", recon="bfs",
+                               workload=workload))
+    for n, workload in ((1001, one), (1001, []), (5, many + one),
+                        (10**15, one)):
+        with pytest.raises(ConfigError, match="channel sends"):
+            sim._validate(Scenario(n=n, datatype="intlog", recon="bfs",
+                                   workload=workload))
 
 
 def test_scenario_json_roundtrip(tmp_path):
@@ -229,9 +246,14 @@ def _per_line_json_loads(path):
             if line.strip():
                 try:
                     values.append(json.loads(line))
-                except json.JSONDecodeError:
+                # not JSON, an int past the digit limit, nested too deep
+                except (ValueError, RecursionError):
                     return number
     return values
+
+
+# a line the writer makes from its deliver template
+_DELIVER = '{"kind":"deliver","replica":1,"t":5,"uid":[1,2]}'
 
 
 @pytest.mark.parametrize("text", [
@@ -256,7 +278,24 @@ def _per_line_json_loads(path):
     '"tab\there"\n',
     '[1]\r[2]\r\n[3]',
     '{"a": 1}\n{"b": ',
-], ids=range(21))
+    *(_DELIVER + '\n%s\n' % line + _DELIVER + '\n' for line in (
+        _DELIVER.replace(':1,', ':01,'),
+        _DELIVER.replace(':1,', ':-0,'),
+        _DELIVER.replace(':1,', ':1.0,'),
+        _DELIVER.replace(':1,', ':1e3,'),
+        _DELIVER.replace(':1,', ':1%s,' % ('0' * 29)),
+        _DELIVER.replace(':1,', ':1%s,' % ('0' * 4300)),
+        _DELIVER.replace('[1,2]', '[1,2,3]'),
+        _DELIVER.replace(',', ', ', 1),
+        _DELIVER + _DELIVER,
+        _DELIVER + ' ' + _DELIVER,
+        '{"kind":"insert","parents":[],"replica":1,"t":5,"vertex":[1,2]}',
+        '{"add":[],"keep":0,"kind":"history","replica":1,"t":5}',
+        '[' * 100000,
+    )),
+    _DELIVER + '\r\n' + _DELIVER + '\r\n',
+    _DELIVER + '\n' + _DELIVER,
+], ids=range(36))
 def test_reader_matches_per_line_json_loads(tmp_path, text):
     path = tmp_path / "lines.jsonl"
     path.write_text(text, encoding="utf-8")
@@ -267,6 +306,53 @@ def test_reader_matches_per_line_json_loads(tmp_path, text):
         with pytest.raises(ConfigError, match="line %d is not JSON"
                            % expected):
             sim._read_jsonl(path)
+
+
+def _crlf(path, tmp_path):
+    other = tmp_path / "crlf.jsonl"
+    other.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return other
+
+
+@pytest.mark.parametrize("name, recon", [("fig1", "bfs"),
+                                         ("starvation", "fair"),
+                                         ("random", "fair"),
+                                         ("continuous", "lifo")])
+def test_reader_matches_per_line_json_loads_on_traces(tmp_path, name,
+                                                       recon):
+    # template lines are parsed in runs, every other line by itself; the
+    # result is per-line json.loads on the file as written, with CRLF line
+    # ends and re-spaced
+    path = tmp_path / "t.jsonl"
+    run(BUILTIN[name](2, recon)).to_jsonl(path)
+    for copy in (path, _crlf(path, tmp_path), _respaced(path, tmp_path)):
+        expected = _per_line_json_loads(copy)
+        assert isinstance(expected, list) and len(expected) > 100
+        assert sim._read_jsonl(copy) == expected
+
+
+def test_parsed_events_share_their_keys(tmp_path):
+    path = tmp_path / "t.jsonl"
+    run(random_scenario(4, "bfs")).to_jsonl(path)
+    events = Trace.from_jsonl(path).events
+    keys = sum(map(len, events))
+    distinct = len({id(key) for ev in events for key in ev})
+    assert keys > 30000 and distinct < keys / 20
+
+
+@pytest.mark.parametrize("recon", ["bfs", "fair", "lifo"])
+def test_run_leaves_only_the_trace(recon):
+    # the simulator's cyclic references are cut when `run` returns, so its
+    # replicas go with it, without a collection
+    gc.collect()
+    gc.disable()
+    try:
+        trace = run(random_scenario(1, recon, commands=40))
+        left = [o for o in gc.get_objects()
+                if isinstance(o, (Replica, ReliableBroadcast, sim._Sim))]
+    finally:
+        gc.enable()
+    assert trace.events and left == []
 
 
 def _two_values_on_one_line(path):
@@ -309,6 +395,15 @@ def test_written_lines_are_the_encoder_lines(tmp_path):
         expected = "".join(sim._encode(ev) + "\n"
                            for ev in [trace.meta, *trace.events])
         assert path.read_text(encoding="utf-8") == expected, sc.name
+        # every event of a templated kind takes its template, and the
+        # reader's grammar takes the line
+        kinds = set()
+        for ev in trace.events:
+            if ev["kind"] in sim._TEMPLATED:
+                line = sim._TEMPLATED[ev["kind"]](ev)
+                assert line and sim._TEMPLATE_LINE(line + "\n"), ev
+                kinds.add(ev["kind"])
+        assert kinds == set(sim._TEMPLATED), sc.name
 
 
 def _perturbed(ev):
@@ -328,7 +423,7 @@ def _perturbed(ev):
             for x in (tuple(value), value[:1], [*value, 1],
                       {0: value[0], 1: value[1]}):
                 yield {**ev, key: x}
-        elif key == "parents":
+        elif key in ("parents", "add"):
             yield {**ev, key: [tuple(p) for p in value]}
             yield {**ev, key: tuple(value)}
             yield {**ev, key: {}}
@@ -347,17 +442,20 @@ def _perturbed(ev):
         yield {**ev, "kind": kind}
 
 
-def test_template_lines_match_the_encoder_on_odd_events():
+def test_template_lines_match_the_encoder_on_odd_events(tmp_path):
     trace = run(random_scenario(0, "bfs"))
     samples = []
-    for kind in ("send", "deliver", "insert"):
+    for kind in ("send", "deliver", "insert", "history"):
         samples.append(next(ev for ev in trace.events
                             if ev["kind"] == kind))
     samples.append({**samples[0], "deliver_at": None})
     samples.append(next(ev for ev in trace.events
                         if ev["kind"] == "insert" and len(ev["parents"]) > 1))
     samples.append({**samples[2], "parents": []})
-    checked = 0
+    samples.append(next(ev for ev in trace.events
+                        if ev["kind"] == "history" and len(ev["add"]) > 1))
+    samples.append({**samples[3], "add": []})
+    lines = []
     for sample in samples:
         assert sim._line(sample) == sim._encode(sample)
         for ev in _perturbed(sample):
@@ -368,8 +466,12 @@ def test_template_lines_match_the_encoder_on_odd_events():
                     sim._line(ev)
             else:
                 assert sim._line(ev) == expected, ev
-            checked += 1
-    assert checked > 300
+                lines.append(expected)
+    assert len(lines) > 400
+    # the reader takes the odd lines as per-line json.loads does
+    path = tmp_path / "odd.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert sim._read_jsonl(path) == _per_line_json_loads(path)
 
 
 class _EveryReceipt(sim._Sim):
