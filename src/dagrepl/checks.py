@@ -14,9 +14,11 @@ every snapshot, which makes the checker a differential test of the
 incremental sessions.  Under `bfs` and `fair` one certificate does it
 (`_batches_verified`): a history of either is leader batches and a
 leftover batch, each in level order, and the certificate checks the
-batches against the leader masks, `fair_leaders` under `fair` and none
-under `bfs`, without expanding any.  Under `lifo` the rebuilt DAG is
-reconciled from scratch.
+batches against the leader masks without expanding any: none under
+`bfs`, and under `fair` those of one `_LeaderScan` per replica, resumed at
+each insert the checker replays.  The fair session resumes the same scan,
+so each replica's final snapshot is also reconciled from scratch.  Under
+`lifo` the rebuilt DAG is reconciled from scratch at every snapshot.
 
 Stability is finite-trace approximated: a prefix of length L counts as
 stabilized once every recorded snapshot from some point onward starts
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .dag import Command, CommandDag, DagError, EPSILON, level_key
-from .reconcile import fair_leaders, get_reconciler
+from .reconcile import _LeaderScan, get_reconciler
 from .sim import ConfigError, resolve
 
 
@@ -366,10 +368,10 @@ def check_safety(trace):
 
     Every check runs on every snapshot.  Reconciliation equivalence is
     verified by one certificate (`_batches_verified`) under `bfs`, with no
-    leaders, and under `fair`, with `fair_leaders(dag)`, plus a
-    from-scratch reconciliation at each replica's final snapshot; under
-    any other reconciler, by a from-scratch reconciliation at every
-    snapshot.
+    leaders, and under `fair`, with the leaders of the replica's
+    `_LeaderScan`, plus a from-scratch reconciliation at each replica's
+    final snapshot; under any other reconciler, by a from-scratch
+    reconciliation at every snapshot.
     """
     d = _digest(trace)
     problems = defaultdict(list)
@@ -436,8 +438,12 @@ def check_safety(trace):
     # snapshot.
     certified = d.recon_name in ("bfs", "fair")
     dags = {rid: CommandDag() for rid in range(1, d.n + 1)}
+    scans = {rid: _LeaderScan(dag) for rid, dag in dags.items()
+             if d.recon_name == "fair"}
     histories = defaultdict(list)
-    certs = defaultdict(_BatchCert)
+    # rid -> the prefix of its history that passed at its last snapshot
+    # and whose batches' leaders have not changed since
+    verified = defaultdict(int)
     cmds = {}
     first = {}                  # uid -> (parent uids, dist) where first seen
     level_count = defaultdict(Counter)
@@ -450,9 +456,10 @@ def check_safety(trace):
             if not certified:
                 same = d.recon(dag) == list(map(cmds.get, h))
             else:
-                leaders = fair_leaders(dag) if d.recon_name == "fair" else []
-                same = _batches_verified(dag, cmds, h, delta.keep, leaders,
-                                         certs[rid])
+                leaders = scans[rid].leaders if scans else []
+                verified[rid] = _batches_verified(
+                    dag, cmds, h, min(delta.keep, verified[rid]), leaders)
+                same = verified[rid] == len(h) == len(dag)
                 if i == len(d.snapshots[rid]) - 1:
                     same = same and d.recon(dag) == list(map(cmds.get, h))
             if not same:
@@ -470,6 +477,10 @@ def check_safety(trace):
             raise ConfigError("replica %d cannot insert %r at t=%d: %s %s"
                               % (rid, uid, t, type(exc).__name__, exc)
                               ) from None
+        k = scans[rid].insert(v) if scans else None
+        if k is not None:       # the batches from leader k on changed
+            pos = scans[rid].leaders[k - 1].bit_count() if k else 0
+            verified[rid] = min(verified[rid], pos)
         # Equal parent sets at every replica imply, by induction over
         # insertion order, equal causal pasts.
         dv = dag.dist(v)
@@ -497,22 +508,12 @@ def check_safety(trace):
     return verdict
 
 
-class _BatchCert:
-    """What `_batches_verified` keeps of a replica's previous snapshot."""
-
-    __slots__ = ("leaders", "ends", "verified")
-
-    def __init__(self):
-        self.leaders = []       # the leader masks it was given
-        self.ends = []          # the end position of each leader's batch
-        self.verified = 0       # the prefix of h that passed the walk
-
-
-def _batches_verified(dag, cmds, h, keep, leaders, state):
-    """Whether the history `h`, just changed from position `keep` on, is
-    the leader batches of the past masks `leaders` followed by the
-    leftover batch, without expanding any batch: f_fair(dag) for
-    `fair_leaders(dag)`, f_bfs(dag) for no leaders.
+def _batches_verified(dag, cmds, h, start, leaders):
+    """How far the history `h` is the leader batches of the past masks
+    `leaders` followed by the leftover batch: the length of the prefix that
+    passes, walked from `start` with `h[:start]` taken as passed.  h is
+    f_fair(dag) for `fair_leaders(dag)`, f_bfs(dag) for no leaders, iff
+    that length is len(h) == len(dag).  No batch is expanded.
 
     Let m_1..m_k be the leader masks, strictly nested, and m_0 = 0.  Batch
     j ends at position m_j.bit_count(), the leftover batch k + 1 at
@@ -527,52 +528,37 @@ def _batches_verified(dag, cmds, h, keep, leaders, state):
     that history, on any DAG.
 
     Each position's facts rest on its batch's two masks and on the
-    position before it only, and past masks never change.  `state`, a
-    _BatchCert updated in place, keeps the leader masks of the replica's
-    previous snapshot and how far h passed then; the walk starts at the
-    least of `keep`, that length and the start of the first batch whose
-    leader changed, and stops at the first failing position.
+    position before it only, and past masks never change, so the walk
+    starts at `start`, which the caller keeps at or below the first
+    position where h, or the batch holding it, changed since it last
+    passed, and stops at the first failing position.
     """
-    start = min(keep, state.verified)
-    old, ends = state.leaders, state.ends
-    if leaders != old:
-        same = 0                # stops: the lists differ somewhere
-        while leaders[same:same + 1] == old[same:same + 1]:
-            same += 1
-        del ends[same:]
-        ends += [m.bit_count() for m in leaders[same:]]
-        start = min(start, ends[same - 1] if same else 0)
-        state.leaders = leaders
-
     past = dag.past_masks()
+    b = bisect_right(leaders, start, key=int.bit_count)  # batch of `start`
+    lower = leaders[b - 1] if b else 0
     # The leftover batch has upper mask 0, which stands for none, and no
     # end.
-    uppers = leaders + [0]
-    stops = ends + [None]
-    b = bisect_right(ends, start)           # the batch holding `start`
-    lower = uppers[b - 1] if b else 0
-    upper, end = uppers[b], stops[b]
+    upper = leaders[b] if b < len(leaders) else 0
+    end = upper.bit_count() or None
     prev = ()                               # below every level key
-    if start > (ends[b - 1] if b else 0):   # inside a batch; h[start - 1]
+    if start > lower.bit_count():           # inside a batch; h[start - 1]
         u = cmds[h[start - 1]]              # passed, so it is in the DAG
         prev, prev_p = level_key(dag, u), past[u]
     for i in range(start, len(h)):
         if i == end:
             b += 1
-            lower, upper, end = upper, uppers[b], stops[b]
+            lower, upper = upper, leaders[b] if b < len(leaders) else 0
+            end = upper.bit_count() or None
             prev = ()
         v = cmds.get(h[i])
         p = past.get(v, 0)                  # 0 is inside every mask
         if p | lower == lower or upper and p | upper != upper:
-            break
+            return i
         key = level_key(dag, v)
         if prev >= key and (prev > key or prev_p >= p):
-            break
+            return i
         prev, prev_p = key, p
-    else:
-        i = len(h)
-    state.verified = i
-    return i == len(h) == len(past)
+    return len(h)
 
 
 def run_all_checks(trace, window: int = 10):

@@ -16,8 +16,9 @@ commands (RF-Totality).  Three instances:
 f_bfs and f_fair share one shape: leader batches, each the unordered
 part of one leader's causal past, then a leftover batch, each batch in
 `level_key` order.  f_bfs has no leaders; `fair_leaders` is f_fair's
-leader scan alone, with which the trace checker verifies a history
-without expanding a batch.
+leader scan alone.  `_LeaderScan` resumes that scan as the DAG grows; the
+fair session builds its batches from it, and the trace checker keeps one
+per replica to verify a history without expanding a batch.
 
 A replica does not rerun its reconciler on every change.  It opens a
 session, `open_session(recon, dag)`, over its DAG.  After each
@@ -27,14 +28,15 @@ session, `open_session(recon, dag)`, over its DAG.  After each
 out is never mutated.
 
 * f_bfs.session places v by `bisect` on its immutable `level_key`.
-* f_fair.session resumes `fair_leaders`' scan from the one round that v
-  can change (see `_FairSession`).
+* f_fair.session rebuilds its batches from the first leader that v
+  changed in its `_LeaderScan`, or bisects v into the leftover batch.
 * A reconciler without a `session` attribute, f_lifo included, is rerun
   from scratch and reports position 0, which is exact for f_lifo.
 
 The attributes survive `functools.wraps`, so a wrapped reconciler keeps its
 session.  The functions themselves stay from-scratch: they are the
-reference the sessions and the checker's certificate are tested against.
+reference the sessions, `_LeaderScan` and the checker's certificate are
+tested against.
 """
 
 from __future__ import annotations
@@ -54,21 +56,13 @@ def f_bfs(dag: CommandDag):
     return topo_sort(dag, dag.commands())
 
 
-def _chain_masks(dag: CommandDag):
-    """The DAG's issuer ids, ascending, and each one's chain of past masks
-    by ascending seq."""
-    chains, past = dag.chains(), dag.past_masks().__getitem__
-    procs = sorted(chains)
-    return procs, [list(map(past, chains[j])) for j in procs]
-
-
 def _scan(procs, pasts, leaders, rnd, rr, ptr, misses, saved):
     """Run f_fair's round-robin leader scan from round `rnd` to its end,
     appending the leaders' past masks to `leaders`.
 
     The issuer pointer `rr` cycles over `procs`, the DAG's issuer ids,
     ascending, and `pasts[rr]` is the chain of past masks of issuer
-    `procs[rr]` (see `_chain_masks`).  A vertex v qualifies as a leader
+    `procs[rr]`, by ascending seq.  A vertex v qualifies as a leader
     when v is not yet ordered and past(v) covers the sequence built so
     far, which is the last leader's past: down-closed, and past(v) holds
     v, so v qualifies iff its mask p strictly contains the last mask s,
@@ -104,10 +98,7 @@ def _scan(procs, pasts, leaders, rnd, rr, ptr, misses, saved):
 def fair_leaders(dag: CommandDag):
     """The past masks of f_fair's leaders, in the order it picks them: the
     scan from round 0, with the issuer pointer at the smallest id."""
-    procs, pasts = _chain_masks(dag)
-    leaders = []
-    _scan(procs, pasts, leaders, 0, 0, [0] * len(procs), 0, {})
-    return leaders
+    return _LeaderScan(dag).leaders
 
 
 def f_fair(dag: CommandDag):
@@ -148,58 +139,86 @@ class _LevelOrder:
         return pos
 
 
-class _FairSession:
-    """f_fair over a growing DAG, resumed from the one round v can change.
+class _LeaderScan:
+    """`fair_leaders` over a growing DAG, resumed from the one round a new
+    vertex can change.
 
-    A new vertex v of a known issuer i is childless and i's highest
-    sequence number, so it is in no other vertex's past and last in i's
-    chain: only a scan that reaches the end of i's chain can see it, and
-    after i's first miss round (see `_scan`) every round of i misses.
-    Every earlier round runs as before.  In that first miss round v leads
-    iff past(v) covers the sequence built so far.  If it does, `_scan`
-    resumes from the state saved at the start of that round.  If not, v
-    fails the coverage test in every later round too, because the built
-    sequence only grows, so no round changes and v joins the leftover
-    batch by bisection.  A first vertex of a new issuer changes the
-    rotation, so the scan reruns from round 0; that happens once per
-    issuer.
+    A new vertex v is childless, so it is in no other vertex's past.  When
+    v is last in its issuer i's chain, only a scan that reaches the end of
+    i's chain can see it, and after i's first miss round (see `_scan`)
+    every round of i misses.  Every earlier round runs as before.  In that
+    first miss round v leads iff past(v) covers the sequence built so far.
+    If it does, `_scan` resumes from the state saved at the start of that
+    round.  If not, v fails the coverage test in every later round too,
+    because the built sequence only grows, so no round changes.  A first
+    vertex of a new issuer changes the rotation, so the scan reruns from
+    round 0; that happens once per issuer.  So does a vertex inserted
+    before the end of its chain, which the protocol's causal chains never
+    allow but a DAG rebuilt from a hostile trace may hold: the scan is
+    exact for any insertion order.
 
     Saved states of later rounds may hold a scan pointer to i that stops
-    short of such a leftover v.  Resuming from one rescans v, which fails
-    again, so the result is the same.  The scan's chains of past masks
-    (`_chain_masks`) are kept too: v's mask is appended to i's.
+    short of such a non-leading v.  Resuming from one rescans v, which
+    fails again, so the result is the same.
     """
 
     def __init__(self, dag: CommandDag):
         self._dag = dag
-        self._saved = {}       # issuer -> its `_scan` state; all have one
-        self._leaders = []     # fair_leaders(dag)
-        self._seq = []         # the sequence built by the leader rounds
         self._restart()
 
     def insert(self, v):
-        """Account for `v`, just inserted into the DAG; returns the first
-        changed history position.  `v` must follow every earlier command
-        of its issuer, which the protocol's causal chains guarantee."""
-        old = self.history
+        """Account for `v`, just inserted into the DAG; returns the index of
+        the first leader that changed, or None when no leader changed."""
         start = self._saved.get(v.issuer)
-        if start is None:
+        if start is None or self._dag.chains()[v.issuer][-1] is not v:
             self._restart()
-            pos = 0
-        else:
-            # start[2], the issuer pointer in v's issuer's first miss
-            # round, points at that issuer
-            p = self._dag.past_mask(v)
-            self._pasts[start[2]].append(p)
-            count = start[1]
-            seq_mask = self._leaders[count - 1] if count else 0
-            if seq_mask & ~p:
-                pos = len(self._seq) + self._rest.insert(v)
-                self.history = self._seq + self._rest.history
-                return pos
-            self._run(*start)
-            pos = seq_mask.bit_count()
-        # A rerun rebuilds the history from `pos`, but often only appends
+            return 0
+        # rr, the issuer pointer in v's issuer's first miss round, points
+        # at that issuer
+        rnd, count, rr, ptr, misses = start
+        p = self._dag.past_mask(v)
+        self._pasts[rr].append(p)
+        if count and self.leaders[count - 1] & ~p:
+            return None
+        del self.leaders[count:]
+        self._saved = {j: s for j, s in self._saved.items() if s[0] < rnd}
+        _scan(self._procs, self._pasts, self.leaders, rnd, rr, list(ptr),
+              misses, self._saved)
+        return count
+
+    def _restart(self):
+        # each issuer's chain of past masks, by ascending seq
+        chains, past = self._dag.chains(), self._dag.past_masks().__getitem__
+        self._procs = sorted(chains)
+        self._pasts = [list(map(past, chains[j])) for j in self._procs]
+        self.leaders = []      # fair_leaders(dag)
+        self._saved = {}       # issuer -> its `_scan` state; all have one
+        _scan(self._procs, self._pasts, self.leaders, 0, 0,
+              [0] * len(self._procs), 0, self._saved)
+
+
+class _FairSession:
+    """f_fair over a growing DAG: the batches of a `_LeaderScan`'s leaders,
+    rebuilt from the first leader that changed, and the leftover batch,
+    into which a vertex that changes no leader joins by bisection."""
+
+    def __init__(self, dag: CommandDag):
+        self._dag = dag
+        self._scan = _LeaderScan(dag)
+        self._seq = []         # the sequence built by the leader rounds
+        self._rebuild(0)
+
+    def insert(self, v):
+        """Account for `v`, just inserted into the DAG; returns the first
+        changed history position."""
+        old = self.history
+        count = self._scan.insert(v)
+        if count is None:
+            pos = len(self._seq) + self._rest.insert(v)
+            self.history = self._seq + self._rest.history
+            return pos
+        pos = self._rebuild(count)
+        # A rebuild rewrites the history from `pos`, but often only appends
         # to it: v's leader round tends to take over the old leftover batch.
         new = self.history
         end = min(len(old), len(new))
@@ -207,26 +226,20 @@ class _FairSession:
             pos += 1
         return pos
 
-    def _restart(self):
-        self._procs, self._pasts = _chain_masks(self._dag)
-        self._run(0, 0, 0, [0] * len(self._procs), 0)
-
-    def _run(self, rnd, count, rr, ptr, misses):
-        """Resume the scan from the given round state, then rebuild the
-        batches of leaders `count` on and the leftover batch."""
-        dag, leaders, seq = self._dag, self._leaders, self._seq
-        del leaders[count:]
-        self._saved = {j: s for j, s in self._saved.items() if s[0] < rnd}
-        _scan(self._procs, self._pasts, leaders, rnd, rr, list(ptr), misses,
-              self._saved)
+    def _rebuild(self, count):
+        """Rebuild the batches of leaders `count` on and the leftover
+        batch; returns the position where they start."""
+        dag, leaders, seq = self._dag, self._scan.leaders, self._seq
         seq_mask = leaders[count - 1] if count else 0
-        del seq[seq_mask.bit_count():]
+        pos = seq_mask.bit_count()
+        del seq[pos:]
         for p in leaders[count:]:
             seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
             seq_mask = p
         self._rest = _LevelOrder(dag, dag.expand_mask(dag.all_mask()
                                                       & ~seq_mask))
         self.history = seq + self._rest.history
+        return pos
 
 
 class _Rerun:

@@ -4,11 +4,12 @@ from collections import defaultdict
 
 import pytest
 
-from dagrepl.checks import _BatchCert, _batches_verified, \
-    check_convergence, check_safety, check_stability, fairness_report, \
-    run_all_checks, stable_prefix
-from dagrepl.dag import CommandDag
-from dagrepl.reconcile import f_bfs, f_fair, fair_leaders
+from dagrepl import reconcile
+from dagrepl.checks import _batches_verified, check_convergence, \
+    check_safety, check_stability, fairness_report, run_all_checks, \
+    stable_prefix
+from dagrepl.dag import Command, CommandDag, EPSILON
+from dagrepl.reconcile import _LeaderScan, f_bfs, f_fair, fair_leaders
 from dagrepl.sim import ConfigError, Trace, full_histories, run
 from dagrepl.scenarios import STARVATION_VICTIM, continuous_scenario, \
     fig1_scenario, random_scenario, starvation_scenario
@@ -275,6 +276,77 @@ def test_fair_recon_equivalence_matches_from_scratch(spoil):
     assert got["problems"] == expect[:10]
 
 
+def _stale_batches(t, limit=10):
+    # Across a leader change, a snapshot keeps its replica's previous
+    # history up to the end of the first changed batch, as a session that
+    # never reran its scan would, and is right from there on.  Only that
+    # batch is wrong, so a walk that starts one batch late passes it.
+    # The leaders of each snapshot come from scratch, and the replica's
+    # snapshot after a spoiled one is left as it is.
+    dags, cmds, prev = defaultdict(CommandDag), {}, {}
+    spoiled = 0
+    for ev in t.events:
+        rid = ev.get("replica")
+        if ev["kind"] == "insert":
+            v = cmds.setdefault(tuple(ev["vertex"]),
+                                Command((), *ev["vertex"]))
+            dags[rid].insert(v, {cmds[tuple(p)] for p in ev["parents"]}
+                             or {EPSILON})
+        elif ev["kind"] == "history":
+            h, leaders = ev["h"], fair_leaders(dags[rid])
+            old_h, old, old_spoiled = prev.get(rid, ([], [], True))
+            k = lcp(old, leaders)
+            end = leaders[k].bit_count() if 0 < k < len(leaders) else 0
+            spoil = spoiled < limit and not old_spoiled \
+                and end <= len(old_h) and old_h[:end] != h[:end]
+            if spoil:
+                ev["h"] = old_h[:end] + h[end:]
+                spoiled += 1
+            prev[rid] = ev["h"], leaders, spoil
+    assert spoiled == limit
+
+
+def test_fair_walk_starts_at_the_first_changed_batch():
+    # the checker must walk a snapshot from the start of the first batch
+    # whose leader changed since the replica's previous snapshot
+    bad = _mutated(run(random_scenario(21, "fair")), _stale_batches)
+    expect = ["replica %d snapshot at t=%d != recon(dag)"
+              % (ev["replica"], ev["t"])
+              for ev, h, dag in trace_snapshots(bad.events)
+              if h != [[c.issuer, c.seq] for c in f_fair(dag)]]
+    got = check_safety(bad)["recon_equivalence"]
+    assert len(expect) == 10
+    assert got["problems"] == expect
+
+
+def test_fair_checker_reruns_no_scan_per_snapshot(random_trace, monkeypatch):
+    # Per replica, check_safety reruns its leader scan from round 0 at
+    # most once per issuer, besides the scan it starts on the empty DAG,
+    # and calls fair_leaders only through the final snapshot's f_fair.
+    restarts, calls = [], []
+    real_restart, real_leaders = _LeaderScan._restart, fair_leaders
+
+    def restart(self):
+        restarts.append(1)
+        real_restart(self)
+
+    def leaders(dag):
+        calls.append(1)
+        return real_leaders(dag)
+
+    monkeypatch.setattr(_LeaderScan, "_restart", restart)
+    monkeypatch.setattr(reconcile, "fair_leaders", leaders)
+    assert check_safety(random_trace)["ok"]
+    events = random_trace.events
+    n = random_trace.meta["scenario"]["n"]
+    issuers = {ev["vertex"][0] for ev in events if ev["kind"] == "insert"}
+    snapshots = [ev["replica"] for ev in events if ev["kind"] == "history"]
+    assert len(calls) == len(set(snapshots)) == n
+    # fair_leaders(dag) starts a scan, which runs from round 0 too
+    assert len(restarts) <= n * (1 + len(issuers)) + len(calls)
+    assert len(snapshots) > 5 * len(restarts)
+
+
 def _mutants(rng, dag, h):
     """Changed copies of `h`, f_bfs(dag) or f_fair(dag), placed by
     f_fair's batches: a swap inside a batch, a swap across a batch
@@ -321,6 +393,22 @@ def _random_dags(rng, count):
 LEADERS = {f_bfs: lambda dag: [], f_fair: fair_leaders}
 
 
+def _certified(dag, cmds, h, keep, leaders, state):
+    """Whether `_batches_verified` passes the history `h`, changed from
+    `keep` on, walked as `check_safety` walks it: from the least of `keep`,
+    the prefix that passed at the previous call and the start of the first
+    batch whose leader changed since then.  `state` is [the leaders, that
+    prefix] of the previous call, [[], 0] at the first, updated in place;
+    the leaders are diffed here, not taken from a `_LeaderScan`."""
+    old, passed = state
+    start = min(keep, passed)
+    if leaders != old:
+        k = lcp(old, leaders)
+        start = min(start, leaders[k - 1].bit_count() if k else 0)
+    state[:] = leaders, _batches_verified(dag, cmds, h, start, leaders)
+    return state[1] == len(h) == len(dag)
+
+
 def _certificate_is_exact_on_random_dags(recon, seed):
     # the certificate accepts a history iff it is recon(dag), on protocol
     # DAGs and on DAGs with shuffled and repeated seqs alike
@@ -330,8 +418,8 @@ def _certificate_is_exact_on_random_dags(recon, seed):
         true = recon(dag)
         cmds = {c: c for c in dag.commands()}
         for h in [true] + _mutants(rng, dag, true):
-            got = _batches_verified(dag, cmds, h, 0, LEADERS[recon](dag),
-                                    _BatchCert())
+            got = _batches_verified(dag, cmds, h, 0, LEADERS[recon](dag)) \
+                == len(h) == len(dag)
             assert got == (h == true), (dag.commands(), h)
             accepted += got
             rejected += not got
@@ -353,15 +441,15 @@ def _certificate_is_exact_on_growing_dags(recon, seed):
     failed_then_kept = 0
     for whole in _random_dags(rng, 600):
         dag = CommandDag()
-        state = _BatchCert()
+        state = [[], 0]
         prev, prev_ok = [], True
         for v in whole.commands():
             dag.insert(v, whole.parents_of(v))
             true = recon(dag)
             h = rng.choice([true] + _mutants(rng, dag, true))
             keep = lcp(prev, h)
-            got = _batches_verified(dag, {c: c for c in dag.commands()}, h,
-                                    keep, LEADERS[recon](dag), state)
+            got = _certified(dag, {c: c for c in dag.commands()}, h, keep,
+                             LEADERS[recon](dag), state)
             assert got == (h == true)
             failed_then_kept += not prev_ok and keep == len(prev)
             prev, prev_ok = h, got
@@ -414,16 +502,15 @@ def test_fair_certificate_matches_from_scratch_per_snapshot():
         trace = run(random_scenario(seed, "fair"))
         if seed % 2:
             trace = _mutated(trace, _swap_pairs(random.Random(seed)))
-        certs = defaultdict(_BatchCert)
+        certs = defaultdict(lambda: [[], 0])
         wrong_at = {}           # replica -> where its last snapshot erred
         for ev, h, dag in trace_snapshots(trace.events):
             rid = ev["replica"]
             h = [tuple(u) for u in h]
             true = [(c.issuer, c.seq) for c in f_fair(dag)]
             cmds = {(c.issuer, c.seq): c for c in dag.commands()}
-            assert _batches_verified(dag, cmds, h, ev["keep"],
-                                     fair_leaders(dag),
-                                     certs[rid]) == (h == true)
+            assert _certified(dag, cmds, h, ev["keep"], fair_leaders(dag),
+                              certs[rid]) == (h == true)
             kept_wrong += ev["keep"] > wrong_at.get(rid, len(h))
             if h == true:
                 wrong_at.pop(rid, None)

@@ -1,15 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
 from dagrepl.dag import Command, CommandDag, EPSILON, level_key, \
     parse_dag
-from dagrepl.reconcile import RECONCILERS, f_bfs, f_fair, f_lifo, \
-    get_reconciler
+from dagrepl.reconcile import RECONCILERS, _LeaderScan, f_bfs, f_fair, \
+    f_lifo, fair_leaders, get_reconciler
 from dagrepl.scenarios import FIG1_BFS_ORDER, FIG1_FAIR_ORDER
 
 from oracles import brute_dist, brute_past, oracle_f_bfs, oracle_f_fair, \
-    random_protocol_dag
+    random_out_of_order_dag, random_protocol_dag
 
 
 def keys(history):
@@ -46,6 +47,79 @@ NON_PROTOCOL_FAIR_ORDER = [(2, 3), (2, 4), (2, 5), (2, 1), (3, 2), (3, 3),
 def test_fair_order_pinned_outside_the_protocol():
     dag = parse_dag(NON_PROTOCOL_DAG)
     assert keys(f_fair(dag)) == NON_PROTOCOL_FAIR_ORDER
+
+
+def _scan_paths(whole, order):
+    """Insert `order`, the vertices of `whole`, into a new DAG below their
+    parents there, one at a time.  After each insert a `_LeaderScan` that
+    has seen every insert must hold `fair_leaders(dag)`, whose batches
+    make `oracle_f_fair(dag)`, and keep every leader before the index it
+    returns, all of them for None.  Returns a Counter of the paths taken:
+    "none", "resumed" (a positive index), "new issuer", "out of order"."""
+    dag = CommandDag()
+    scan = _LeaderScan(dag)
+    paths = Counter()
+    for v in order:
+        old = list(scan.leaders)
+        new_issuer = v.issuer not in dag.chains()
+        dag.insert(v, whole.parents_of(v))
+        out_of_order = dag.chains()[v.issuer][-1] is not v
+        k = scan.insert(v)
+        assert scan.leaders == fair_leaders(dag)
+        assert keys(f_fair(dag)) == keys(oracle_f_fair(dag))
+        if k is None:
+            assert scan.leaders == old
+        else:
+            assert scan.leaders[:k] == old[:k]
+        if out_of_order:
+            assert k == 0
+            paths["out of order"] += 1
+        elif new_issuer:
+            paths["new issuer"] += len(dag) > 1     # not the first vertex
+        elif k is None:
+            paths["none"] += 1
+        elif k:
+            paths["resumed"] += 1
+    return paths
+
+
+def _parents_first(rng, dag):
+    """The vertices of `dag` in a random order with parents first, as
+    shuffled deliveries reach a replica that parks a vertex until its
+    parents are in."""
+    pending = list(dag.commands())
+    rng.shuffle(pending)
+    done = set()
+    while pending:
+        v = next(v for v in pending if all(p is EPSILON or p in done
+                                          for p in dag.parents_of(v)))
+        pending.remove(v)
+        done.add(v)
+        yield v
+
+
+def test_leader_scan_matches_from_scratch_on_shuffled_deliveries():
+    rng = random.Random(71)
+    paths = Counter()
+    for _ in range(60):
+        dag = random_protocol_dag(rng, 30, 5)
+        paths += _scan_paths(dag, _parents_first(rng, dag))
+    assert paths["out of order"] == 0
+    assert min(paths["none"], paths["resumed"], paths["new issuer"]) > 50
+
+
+def test_leader_scan_matches_from_scratch_out_of_order():
+    # every order outside the protocol is exact too: a vertex below the
+    # end of its issuer's chain reruns the scan from round 0
+    rng = random.Random(73)
+    paths = Counter()
+    for _ in range(60):
+        dag = random_out_of_order_dag(rng, rng.randint(0, 30), 4)
+        paths += _scan_paths(dag, dag.commands())
+    dag = parse_dag(NON_PROTOCOL_DAG)
+    pinned = _scan_paths(dag, dag.commands())
+    assert pinned["out of order"] == 3
+    assert min(paths["none"], paths["resumed"], paths["out of order"]) > 50
 
 
 def test_fig1_lifo_order(fig1_dag):
