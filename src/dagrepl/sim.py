@@ -12,11 +12,12 @@ longest common prefix with the replica's previous snapshot in the trace,
 and `add` the commands after it, so a snapshot costs the change, not the
 history.  `keep` below the previous length is a revocation.
 `full_histories` decodes the deltas back into full histories.  A trace
-file holds one compact, sorted-key JSON value per line; the int-only
-send, deliver, insert and history lines are formatted directly, with the
-same bytes.  Reading takes any spacing that per-line `json.loads` takes;
-the lines in the writer's int-only form are parsed many to one call, so
-that their events share their key strings.
+file holds one compact, sorted-key JSON value per line, which the
+simulator writes as each event happens; the trace `run` returns is those
+lines, and its events are parsed from them on first read.  Reading takes
+any spacing that per-line `json.loads` takes; the lines in the
+simulator's int-only form are parsed many to one call, so that their
+events share their key strings.
 
 Timing model: channel delays are drawn from the seeded RNG (or pinned by
 an explicit per-message delivery script); partitions defer deliveries on
@@ -36,6 +37,7 @@ import heapq
 import json
 import random
 import re
+import sys
 from dataclasses import dataclass, field, fields
 
 from .broadcast import ReliableBroadcast
@@ -167,7 +169,7 @@ def _read_jsonl(path):
 
     It accepts and rejects exactly the lines that per-line `json.loads`
     does: a line is one JSON value with optional JSON whitespace around it.
-    Template lines are parsed `_RUN` at a time in one call, so that their
+    Template lines are parsed in runs (`_parse_lines`), so that their
     events share their key strings.  The C scanner parses every other line;
     `json.loads` runs only on a line the scanner rejected, for its error
     message.
@@ -175,7 +177,7 @@ def _read_jsonl(path):
     values, run, slots = [], [], []     # slots: where run's values go
 
     def parse_run():
-        for at, value in zip(slots, json.loads("[%s]" % ",".join(run))):
+        for at, value in zip(slots, _parse_lines(run)):
             values[at] = value
         run.clear()
         slots.clear()
@@ -208,6 +210,15 @@ def _read_jsonl(path):
     return values
 
 
+def _parse_lines(lines):
+    """The values of `lines` of one JSON value each, `_RUN` lines to one
+    call, so that their objects share their key strings."""
+    values = []
+    for at in range(0, len(lines), _RUN):
+        values += json.loads("[%s]" % ",".join(lines[at:at + _RUN]))
+    return values
+
+
 def _json_error(line):
     """Why per-line `json.loads` rejects `line`."""
     try:
@@ -216,75 +227,9 @@ def _json_error(line):
         return exc
 
 
-# The send, deliver, insert and history lines, most of a trace, are written
-# from %-templates of their sorted keys.  A template holds only for the exact
-# keys with exact ints, where `%s` gives the JSON bytes (a bool is an int
-# that JSON writes as true or false), and lists of two of them, which
-# `str` writes as JSON but for the spaces; any other event goes to
-# `_encode`.
-def _pair(x):
-    return type(x) is list and len(x) == 2 \
-        and type(x[0]) is int and type(x[1]) is int
-
-
-def _send_line(ev):
-    at, late, dst, src, t, uid = (ev["at"], ev["deliver_at"], ev["dst"],
-                                  ev["src"], ev["t"], ev["uid"])
-    if len(ev) == 7 and type(at) is int and type(dst) is int \
-            and type(src) is int and type(t) is int and _pair(uid) \
-            and (late is None or type(late) is int):
-        return ('{"at":%s,"deliver_at":%s,"dst":%s,"kind":"send","src":%s,'
-                '"t":%s,"uid":[%s,%s]}' % (at, "null" if late is None
-                                           else late, dst, src, t, *uid))
-
-
-def _deliver_line(ev):
-    replica, t, uid = ev["replica"], ev["t"], ev["uid"]
-    if len(ev) == 4 and type(replica) is int and type(t) is int \
-            and _pair(uid):
-        return ('{"kind":"deliver","replica":%s,"t":%s,"uid":[%s,%s]}'
-                % (replica, t, *uid))
-
-
-def _insert_line(ev):
-    parents, replica, t, vertex = (ev["parents"], ev["replica"], ev["t"],
-                                   ev["vertex"])
-    if len(ev) == 5 and type(replica) is int and type(t) is int \
-            and _pair(vertex) and type(parents) is list \
-            and all(map(_pair, parents)):
-        return ('{"kind":"insert","parents":%s,"replica":%s,"t":%s,'
-                '"vertex":[%s,%s]}'
-                % (str(parents).replace(" ", ""), replica, t, *vertex))
-
-
-def _history_line(ev):
-    add, keep, replica, t = ev["add"], ev["keep"], ev["replica"], ev["t"]
-    if len(ev) == 5 and type(keep) is int and type(replica) is int \
-            and type(t) is int and type(add) is list \
-            and all(map(_pair, add)):
-        return ('{"add":%s,"keep":%s,"kind":"history","replica":%s,"t":%s}'
-                % (str(add).replace(" ", ""), keep, replica, t))
-
-
-# kind -> its line from a template, or None where the template is not exact
-_TEMPLATED = {"send": _send_line, "deliver": _deliver_line,
-              "insert": _insert_line, "history": _history_line}
-
-
-def _line(ev):
-    """`_encode(ev)`, formatted directly for the common event kinds."""
-    kind = ev.get("kind")
-    template = _TEMPLATED.get(kind) if type(kind) is str else None
-    try:
-        line = template and template(ev)
-    except KeyError:        # a templated kind without one of its keys
-        line = None
-    return line or _encode(ev)
-
-
-# A line of the writer's compact sorted-key form of a send, deliver, insert
-# or history event (`_line`), with canonical ints of at most 18 digits.  It
-# is exactly one JSON value, so a run of such lines joined by commas is one
+# A line of the simulator's form of a send, deliver, insert or history
+# event (`_SEND`, ...), with canonical ints of at most 18 digits.  It is
+# exactly one JSON value, so a run of such lines joined by commas is one
 # JSON array; the digit bound keeps that parse below the int digit limit.
 _INT = r"-?(?:0|[1-9][0-9]{0,17})"
 _PAIR = r"\[%s,%s\]" % (_INT, _INT)
@@ -297,20 +242,62 @@ _TEMPLATE_LINE = re.compile((
     r'"vertex":%(p)s\}'
     r'|\{"add":%(ps)s,"keep":%(i)s,"kind":"history","replica":%(i)s,'
     r'"t":%(i)s\})\n?') % {"i": _INT, "p": _PAIR, "ps": _PAIRS}).fullmatch
-# The most template lines parsed in one call.  The scanner shares key
-# strings only within a call; the cap bounds the joined text.
+# The most lines parsed in one call.  The scanner shares key strings only
+# within a call; the cap bounds the joined text.
 _RUN = 1024
 
 
+# The lines of the simulator's send, deliver, insert and history events,
+# most of a trace: `_encode`'s bytes for the ints the simulator owns.
+# `_INSERT`'s parents and `_HISTORY`'s add are filled with `_pairs`.
+_SEND = ('{"at":%d,"deliver_at":%d,"dst":%d,"kind":"send","src":%d,"t":%d,'
+         '"uid":[%d,%d]}\n')
+_SEND_UNDELIVERED = ('{"at":%d,"deliver_at":null,"dst":%d,"kind":"send",'
+                     '"src":%d,"t":%d,"uid":[%d,%d]}\n')
+_DELIVER = '{"kind":"deliver","replica":%d,"t":%d,"uid":[%d,%d]}\n'
+_INSERT = ('{"kind":"insert","parents":[%s],"replica":%d,"t":%d,'
+           '"vertex":[%d,%d]}\n')
+_HISTORY = '{"add":[%s],"keep":%d,"kind":"history","replica":%d,"t":%d}\n'
+
+
+def _pairs(uids):
+    """The JSON list items of (issuer, seq) pairs of ints."""
+    return ",".join(["[%d,%d]" % uid for uid in uids])
+
+
 class Trace:
+    """The meta line and the events of a run.  A trace from `run` is the
+    simulator's lines, which `to_jsonl` writes as they are, until `events`
+    is first read and parses them; from then on it is only the events, and
+    `to_jsonl` encodes them, so that edited events are written as edited."""
+
     def __init__(self, meta, events):
         self.meta = meta
         self.events = events
 
+    @classmethod
+    def _of_lines(cls, meta, lines):
+        trace = cls(meta, None)
+        trace._lines = lines
+        return trace
+
+    @property
+    def events(self):
+        if self._lines is not None:
+            self._events, self._lines = _parse_lines(self._lines), None
+            for ev in self._events:     # one string per kind, not per event
+                ev["kind"] = sys.intern(ev["kind"])
+        return self._events
+
+    @events.setter
+    def events(self, events):
+        self._events, self._lines = events, None
+
     def to_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_line(ev) + "\n"
-                          for ev in [self.meta, *self.events])
+            fh.write(_encode(self.meta) + "\n")
+            fh.writelines(self._lines if self._lines is not None else
+                          (_encode(ev) + "\n" for ev in self._events))
 
     @classmethod
     def from_jsonl(cls, path):
@@ -396,6 +383,7 @@ def _validate(sc: Scenario):
         try:
             hash(op)
             spec.step(spec.initial_state, op)
+            _encode(op)         # the simulator writes it in its trace lines
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError("workload op %r fails on %s (%s)"
                               % (op, spec.name, exc)) from None
@@ -424,7 +412,7 @@ class _Sim:
         self.spec, self.recon = _validate(scenario)
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
-        self.events = []
+        self.lines = []            # the trace's event lines, as written
         self.step = 0
         self.now = 0
         self.heap = []
@@ -460,18 +448,20 @@ class _Sim:
 
     def _make_on_insert(self, rid):
         def hook(v, parents):
-            self._emit({"kind": "insert", "replica": rid,
-                        "vertex": [v.issuer, v.seq],
-                        "parents": sorted([p.issuer, p.seq] for p in parents
-                                          if isinstance(p, Command))})
+            self.step += 1
+            self.lines.append(_INSERT % (
+                _pairs(sorted([(p.issuer, p.seq) for p in parents
+                               if isinstance(p, Command)])),
+                rid, self.step, v.issuer, v.seq))
         return hook
 
     # --- event plumbing ------------------------------------------------
 
     def _emit(self, ev):
+        """Record an event of a kind without a line format of its own."""
         self.step += 1
         ev["t"] = self.step
-        self.events.append(ev)
+        self.lines.append(_encode(ev) + "\n")
 
     def _push(self, at, handler, *args):
         """Call `handler(*args)` at time `at`; ties run in push order."""
@@ -485,8 +475,10 @@ class _Sim:
                or self.now >= self.last_input_time)
         if due:
             keep, add = self.replicas[rid].history_delta()
-            self._emit({"kind": "history", "replica": rid, "keep": keep,
-                        "add": [[c.issuer, c.seq] for c in add]})
+            self.step += 1
+            self.lines.append(_HISTORY % (
+                _pairs([(c.issuer, c.seq) for c in add]), keep, rid,
+                self.step))
 
     # --- transport ------------------------------------------------------
 
@@ -517,17 +509,23 @@ class _Sim:
 
     def _send(self, src, dst, msg):
         at = self._deliver_time(src, dst, msg)
-        self._emit({"kind": "send", "src": src, "dst": dst,
-                    "uid": [msg.vertex.issuer, msg.vertex.seq],
-                    "at": self.now, "deliver_at": at})
+        v = msg.vertex
+        self.step += 1
+        if at is None:
+            self.lines.append(_SEND_UNDELIVERED % (
+                self.now, dst, src, self.step, v.issuer, v.seq))
+            return
+        self.lines.append(_SEND % (self.now, at, dst, src, self.step,
+                                   v.issuer, v.seq))
         # a vertex dst already holds is in its broadcast layer's seen set,
         # so the receipt would be dropped untouched: it is not scheduled
-        if at is not None and msg.vertex not in self.replicas[dst].dag:
+        if v not in self.replicas[dst].dag:
             self._push(at, self._handle_recv, src, dst, msg)
 
     def _rb_deliver(self, rid, msg):
-        self._emit({"kind": "deliver", "replica": rid,
-                    "uid": [msg.vertex.issuer, msg.vertex.seq]})
+        self.step += 1
+        self.lines.append(_DELIVER % (rid, self.step, msg.vertex.issuer,
+                                      msg.vertex.seq))
         self.replicas[rid].on_deliver(msg)
 
     # --- handlers ---------------------------------------------------------
@@ -595,7 +593,7 @@ class _Sim:
         # the broadcast layer and the replicas call back into the sim; drop
         # them so that the run is freed with the sim, not by a collection
         del self.rb, self.replicas
-        return Trace(meta, self.events)
+        return Trace._of_lines(meta, self.lines)
 
 
 def run(scenario: Scenario) -> Trace:

@@ -1,0 +1,88 @@
+"""The bytes `Trace.to_jsonl` writes, pinned by their sha256 digests, and
+the one representation a trace holds at a time.
+
+The simulator formats its own trace lines; the digests hold those formats
+to the same bytes on every supported Python.  A change that alters the
+trace on purpose re-records the fixture:
+
+    PYTHONPATH=src python tests/test_trace_bytes.py
+"""
+
+import hashlib
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from dagrepl.scenarios import continuous_scenario, fig1_scenario, \
+    random_scenario, starvation_scenario
+from dagrepl.sim import Trace, run
+
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "trace_sha256.json"
+
+
+def _scenarios():
+    """(name, scenario) of every pinned trace."""
+    for recon in ("bfs", "fair"):
+        yield "fig1:%s" % recon, fig1_scenario(recon)
+        yield "starvation:%s" % recon, starvation_scenario(recon)
+    for seed in range(3):
+        for recon in ("bfs", "fair", "lifo"):
+            yield "random:%s:%d" % (recon, seed), random_scenario(seed, recon)
+            yield ("continuous:%s:%d" % (recon, seed),
+                   continuous_scenario(seed, recon))
+    sc = random_scenario(5, "fair")     # sends past the horizon: null times
+    sc.quiescence_flush = False
+    yield "random:fair:5:no-flush", sc
+
+
+def _digests(directory):
+    path = pathlib.Path(directory) / "t.jsonl"
+    digests = {}
+    for name, sc in _scenarios():
+        run(sc).to_jsonl(path)
+        data = path.read_bytes()
+        if name.endswith("no-flush"):
+            assert b'"deliver_at":null' in data
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def test_trace_bytes_match_the_recorded_digests(tmp_path):
+    assert _digests(tmp_path) == json.loads(FIXTURE.read_text())
+
+
+def _change_a_field(trace):
+    trace.events[-1]["t"] += 1
+
+
+def _append_an_event(trace):
+    trace.events.append({"kind": "crash", "replica": 2, "t": 10**6})
+
+
+def _reassign_the_list(trace):
+    trace.events = [ev for ev in trace.events if ev["kind"] != "send"]
+
+
+def _assign_before_reading(trace):
+    trace.events = run(fig1_scenario("bfs")).events
+
+
+@pytest.mark.parametrize("edit", [_change_a_field, _append_an_event,
+                                  _reassign_the_list, _assign_before_reading])
+def test_edited_events_are_written_not_the_lines(tmp_path, edit):
+    # a run's events are parsed from its lines on first read; from then on
+    # the events are the trace, and the lines are gone
+    path = tmp_path / "t.jsonl"
+    trace = run(fig1_scenario("fair"))
+    edit(trace)
+    trace.to_jsonl(path)
+    written = Trace.from_jsonl(path).events
+    assert written == trace.events != run(fig1_scenario("fair")).events
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as d:
+        FIXTURE.write_text(json.dumps(_digests(d), indent=2, sort_keys=True)
+                           + "\n")
