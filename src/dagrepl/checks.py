@@ -11,14 +11,16 @@ histories: validity, repeats, monotonicity and wait-freedom look at the
 added and the revoked commands only, and the stable-prefix curve is a
 running minimum of `keep`s.  Reconciliation equivalence is tested at
 every snapshot, which makes the checker a differential test of the
-incremental sessions.  Under `bfs` and `fair` one certificate does it
-(`_batches_verified`): a history of either is leader batches and a
-leftover batch, each in level order, and the certificate checks the
-batches against the leader masks without expanding any: none under
-`bfs`, and under `fair` those of one `_LeaderScan` per replica, resumed at
-each insert the checker replays.  The fair session resumes the same scan,
-so each replica's final snapshot is also reconciled from scratch.  Under
-`lifo` the rebuilt DAG is reconciled from scratch at every snapshot.
+incremental sessions.  A reconciler with a leader scan (`recon.scan`,
+f_bfs's and f_fair's) has one certificate (`_batches_verified`): its
+history is leader batches and a leftover batch, each in level order, and
+the certificate checks the batches against the leader masks without
+expanding any.  The masks are those of one scan per replica, fed the
+inserts the checker replays: f_bfs's scan finds none, and f_fair's
+resumes its round-robin scan.  The sessions resume the same scans, so each
+replica's final snapshot is also reconciled from scratch.  A reconciler
+without a scan, `lifo`, reconciles the rebuilt DAG from scratch at every
+snapshot.
 
 Stability is finite-trace approximated: a prefix of length L counts as
 stabilized once every recorded snapshot from some point onward starts
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .dag import Command, CommandDag, DagError, EPSILON, level_key
-from .reconcile import _LeaderScan, get_reconciler
+from .reconcile import get_reconciler
 from .sim import ConfigError, resolve
 
 
@@ -86,9 +88,8 @@ class _Digest:
     def __init__(self, trace):
         meta = trace.meta
         self.n = meta["scenario"]["n"]
-        self.recon_name = meta["scenario"]["recon"]
         self.recon = resolve(get_reconciler, "scenario.recon",
-                             self.recon_name)
+                             meta["scenario"]["recon"])
         self.quiescent = meta["quiescent"]
         self.crashed = set(meta["crashed"])
         self.appends = defaultdict(list)    # rid -> [(t, uid)]
@@ -366,12 +367,12 @@ def check_stability(report: StabilityReport, min_fraction=0.0):
 def check_safety(trace):
     """The per-trace safety suite; every sub-verdict must hold.
 
-    Every check runs on every snapshot.  Reconciliation equivalence is
-    verified by one certificate (`_batches_verified`) under `bfs`, with no
-    leaders, and under `fair`, with the leaders of the replica's
-    `_LeaderScan`, plus a from-scratch reconciliation at each replica's
-    final snapshot; under any other reconciler, by a from-scratch
-    reconciliation at every snapshot.
+    Every check runs on every snapshot.  Under a reconciler with a leader
+    scan, reconciliation equivalence is verified by one certificate
+    (`_batches_verified`) with the leaders of the replica's scan, plus a
+    from-scratch reconciliation at each replica's final snapshot; under a
+    reconciler without one, by a from-scratch reconciliation at every
+    snapshot.
     """
     d = _digest(trace)
     problems = defaultdict(list)
@@ -436,10 +437,9 @@ def check_safety(trace):
     # invariants.  At each snapshot the history must equal the
     # reconciliation of the DAG, which also implies RF-Totality per
     # snapshot.
-    certified = d.recon_name in ("bfs", "fair")
     dags = {rid: CommandDag() for rid in range(1, d.n + 1)}
-    scans = {rid: _LeaderScan(dag) for rid, dag in dags.items()
-             if d.recon_name == "fair"}
+    scan = getattr(d.recon, "scan", None)
+    scans = {rid: scan(dag) for rid, dag in dags.items()} if scan else {}
     histories = defaultdict(list)
     # rid -> the prefix of its history that passed at its last snapshot
     # and whose batches' leaders have not changed since
@@ -453,12 +453,12 @@ def check_safety(trace):
             i, delta = key, value
             h = histories[rid]
             _apply(h, delta.keep, delta.add)
-            if not certified:
+            if not scans:
                 same = d.recon(dag) == list(map(cmds.get, h))
             else:
-                leaders = scans[rid].leaders if scans else []
                 verified[rid] = _batches_verified(
-                    dag, cmds, h, min(delta.keep, verified[rid]), leaders)
+                    dag, cmds, h, min(delta.keep, verified[rid]),
+                    scans[rid].leaders)
                 same = verified[rid] == len(h) == len(dag)
                 if i == len(d.snapshots[rid]) - 1:
                     same = same and d.recon(dag) == list(map(cmds.get, h))

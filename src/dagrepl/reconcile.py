@@ -15,26 +15,24 @@ commands (RF-Totality).  Three instances:
 
 f_bfs and f_fair share one shape: leader batches, each the unordered
 part of one leader's causal past, then a leftover batch, each batch in
-`level_key` order.  f_bfs has no leaders; `fair_leaders` is f_fair's
-leader scan alone.  `_LeaderScan` resumes that scan as the DAG grows; the
-fair session builds its batches from it, and the trace checker keeps one
-per replica to verify a history without expanding a batch.
+`level_key` order (`_batches`).  f_bfs is the case with no leaders.  Each
+carries a leader scan, `recon.scan(dag)`, which holds the leaders' past
+masks in `leaders` and accounts for each vertex inserted into the DAG in
+`insert(v)`: f_bfs's finds none, and f_fair's, `_LeaderScan`, resumes
+`fair_leaders` as the DAG grows.  The trace checker keeps one scan per
+replica to verify a history without expanding a batch.
 
 A replica does not rerun its reconciler on every change.  It opens a
 session, `open_session(recon, dag)`, over its DAG.  After each
 `dag.insert(v)` it calls `session.insert(v)`, which brings
 `session.history` up to date and returns the first position that changed.
 `session.history` is a fresh list after every insert; a list once handed
-out is never mutated.
+out is never mutated.  A reconciler with a scan has one session,
+`_BatchOrder`; one without, f_lifo included, is rerun from scratch and
+reports position 0, which is exact for f_lifo.
 
-* f_bfs.session places v by `bisect` on its immutable `level_key`.
-* f_fair.session rebuilds its batches from the first leader that v
-  changed in its `_LeaderScan`, or bisects v into the leftover batch.
-* A reconciler without a `session` attribute, f_lifo included, is rerun
-  from scratch and reports position 0, which is exact for f_lifo.
-
-The attributes survive `functools.wraps`, so a wrapped reconciler keeps its
-session.  The functions themselves stay from-scratch: they are the
+The attribute survives `functools.wraps`, so a wrapped reconciler keeps
+its scan.  The functions themselves stay from-scratch: they are the
 reference the sessions, `_LeaderScan` and the checker's certificate are
 tested against.
 """
@@ -56,16 +54,16 @@ def f_bfs(dag: CommandDag):
     return topo_sort(dag, dag.commands())
 
 
-def _scan(procs, pasts, leaders, rnd, rr, ptr, misses, saved):
+def _scan(procs, chains, past, leaders, rnd, rr, ptr, misses, saved):
     """Run f_fair's round-robin leader scan from round `rnd` to its end,
     appending the leaders' past masks to `leaders`.
 
     The issuer pointer `rr` cycles over `procs`, the DAG's issuer ids,
-    ascending, and `pasts[rr]` is the chain of past masks of issuer
-    `procs[rr]`, by ascending seq.  A vertex v qualifies as a leader
-    when v is not yet ordered and past(v) covers the sequence built so
-    far, which is the last leader's past: down-closed, and past(v) holds
-    v, so v qualifies iff its mask p strictly contains the last mask s,
+    ascending; `chains` and `past` are the DAG's `chains()` and
+    `past_masks()`.  A vertex v qualifies as a leader when v is not yet
+    ordered and past(v) covers the sequence built so far, which is the
+    last leader's past: down-closed, and past(v) holds v, so v qualifies
+    iff its mask p strictly contains the last mask s,
     `s | p == p != s`.  The smallest qualifying sequence number wins; the
     scan stops after a full cycle with no qualifying issuer.  The built
     sequence only grows, so a vertex that is ordered or fails the test
@@ -77,9 +75,9 @@ def _scan(procs, pasts, leaders, rnd, rr, ptr, misses, saved):
     count = len(procs)
     seq_mask = leaders[-1] if leaders else 0
     while misses < count:
-        chain = pasts[rr]
+        chain = chains[procs[rr]]
         for k in range(ptr[rr], len(chain)):
-            p = chain[k]
+            p = past[chain[k]]
             if seq_mask | p == p != seq_mask:
                 ptr[rr] = k
                 misses = 0
@@ -101,6 +99,21 @@ def fair_leaders(dag: CommandDag):
     return _LeaderScan(dag).leaders
 
 
+def _batches(dag: CommandDag, leaders, count):
+    """The batches of the leader masks `leaders` from index `count` on,
+    then the leftover batch: the history from position
+    `leaders[count - 1].bit_count()` on (from 0 when `count` is 0).  A
+    leader's batch is the part of its past not in the previous leader's,
+    sorted by `level_key`; the leftover batch is every other DAG member,
+    sorted the same way."""
+    seq = []
+    seq_mask = leaders[count - 1] if count else 0
+    for p in leaders[count:] + [dag.all_mask()]:
+        seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
+        seq_mask = p
+    return seq
+
+
 def f_fair(dag: CommandDag):
     """Round-robin leader order.
 
@@ -109,12 +122,7 @@ def f_fair(dag: CommandDag):
     follow in one last batch.  Batch k thus ends at position
     `|past(leader_k)|`, and every batch is sorted by `level_key`.
     """
-    seq = []
-    seq_mask = 0
-    for p in fair_leaders(dag) + [dag.all_mask()]:
-        seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
-        seq_mask = p
-    return seq
+    return _batches(dag, fair_leaders(dag), 0)
 
 
 def f_lifo(dag: CommandDag):
@@ -122,21 +130,14 @@ def f_lifo(dag: CommandDag):
     return list(reversed(dag.commands()))
 
 
-class _LevelOrder:
-    """A set of commands in `level_key` order, grown by bisection."""
+class _NoLeaders:
+    """f_bfs's leader scan: it finds none."""
 
-    def __init__(self, dag: CommandDag, cmds=None):
-        self._dag = dag
-        self.history = topo_sort(dag, dag.commands() if cmds is None
-                                 else cmds)
+    def __init__(self, dag: CommandDag):
+        self.leaders = []
 
     def insert(self, v):
-        # the raw lookup costs less per probe than `level_key`, and cannot
-        # miss: every history command is in the DAG
-        pos = bisect_right(self.history, level_key(self._dag, v),
-                           key=self._dag._key.__getitem__)
-        self.history = self.history[:pos] + [v] + self.history[pos:]
-        return pos
+        return None
 
 
 class _LeaderScan:
@@ -168,82 +169,70 @@ class _LeaderScan:
 
     def insert(self, v):
         """Account for `v`, just inserted into the DAG; returns the index of
-        the first leader that changed, or None when no leader changed."""
+        the first leader that changed, or None when no leader changed.
+        A rerun from round 0 rebinds `leaders`."""
+        dag = self._dag
         start = self._saved.get(v.issuer)
-        if start is None or self._dag.chains()[v.issuer][-1] is not v:
+        if start is None or dag.chains()[v.issuer][-1] is not v:
             self._restart()
             return 0
         # rr, the issuer pointer in v's issuer's first miss round, points
         # at that issuer
         rnd, count, rr, ptr, misses = start
-        p = self._dag.past_mask(v)
-        self._pasts[rr].append(p)
-        if count and self.leaders[count - 1] & ~p:
+        if count and self.leaders[count - 1] & ~dag.past_mask(v):
             return None
         del self.leaders[count:]
         self._saved = {j: s for j, s in self._saved.items() if s[0] < rnd}
-        _scan(self._procs, self._pasts, self.leaders, rnd, rr, list(ptr),
-              misses, self._saved)
+        _scan(self._procs, dag.chains(), dag.past_masks(), self.leaders,
+              rnd, rr, list(ptr), misses, self._saved)
         return count
 
     def _restart(self):
-        # each issuer's chain of past masks, by ascending seq
-        chains, past = self._dag.chains(), self._dag.past_masks().__getitem__
-        self._procs = sorted(chains)
-        self._pasts = [list(map(past, chains[j])) for j in self._procs]
+        dag = self._dag
+        self._procs = sorted(dag.chains())
         self.leaders = []      # fair_leaders(dag)
         self._saved = {}       # issuer -> its `_scan` state; all have one
-        _scan(self._procs, self._pasts, self.leaders, 0, 0,
-              [0] * len(self._procs), 0, self._saved)
+        _scan(self._procs, dag.chains(), dag.past_masks(), self.leaders,
+              0, 0, [0] * len(self._procs), 0, self._saved)
 
 
-class _FairSession:
-    """f_fair over a growing DAG: the batches of a `_LeaderScan`'s leaders,
-    rebuilt from the first leader that changed, and the leftover batch,
-    into which a vertex that changes no leader joins by bisection."""
+class _BatchOrder:
+    """The session of a reconciler with a leader scan: the batches of the
+    scan's leaders and the leftover batch, rebuilt from the first leader
+    that changed, or joined by bisection by a vertex that changes none."""
 
-    def __init__(self, dag: CommandDag):
+    def __init__(self, dag: CommandDag, scan):
         self._dag = dag
-        self._scan = _LeaderScan(dag)
-        self._seq = []         # the sequence built by the leader rounds
-        self._rebuild(0)
+        self._scan = scan
+        self.history = _batches(dag, scan.leaders, 0)
 
     def insert(self, v):
         """Account for `v`, just inserted into the DAG; returns the first
         changed history position."""
-        old = self.history
+        dag, old = self._dag, self.history
         count = self._scan.insert(v)
+        leaders = self._scan.leaders
         if count is None:
-            pos = len(self._seq) + self._rest.insert(v)
-            self.history = self._seq + self._rest.history
+            # the raw lookup costs less per probe than `level_key`, and
+            # cannot miss: every history command is in the DAG
+            pos = bisect_right(old, level_key(dag, v),
+                               leaders[-1].bit_count() if leaders else 0,
+                               key=dag._key.__getitem__)
+            self.history = new = old.copy()
+            new.insert(pos, v)
             return pos
-        pos = self._rebuild(count)
+        pos = leaders[count - 1].bit_count() if count else 0
+        self.history = new = old[:pos] + _batches(dag, leaders, count)
         # A rebuild rewrites the history from `pos`, but often only appends
         # to it: v's leader round tends to take over the old leftover batch.
-        new = self.history
         end = min(len(old), len(new))
         while pos < end and old[pos] is new[pos]:
             pos += 1
         return pos
 
-    def _rebuild(self, count):
-        """Rebuild the batches of leaders `count` on and the leftover
-        batch; returns the position where they start."""
-        dag, leaders, seq = self._dag, self._scan.leaders, self._seq
-        seq_mask = leaders[count - 1] if count else 0
-        pos = seq_mask.bit_count()
-        del seq[pos:]
-        for p in leaders[count:]:
-            seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
-            seq_mask = p
-        self._rest = _LevelOrder(dag, dag.expand_mask(dag.all_mask()
-                                                      & ~seq_mask))
-        self.history = seq + self._rest.history
-        return pos
-
 
 class _Rerun:
-    """Session of a reconciler without one: rerun it, report position 0."""
+    """Session of a reconciler without a scan: rerun it, report position 0."""
 
     def __init__(self, recon, dag: CommandDag):
         self._recon = recon
@@ -255,14 +244,14 @@ class _Rerun:
         return 0
 
 
-f_bfs.session = _LevelOrder
-f_fair.session = _FairSession
+f_bfs.scan = _NoLeaders
+f_fair.scan = _LeaderScan
 
 
 def open_session(recon, dag: CommandDag):
     """A session of `recon` over `dag`, starting from the DAG as it is."""
-    make = getattr(recon, "session", None)
-    return make(dag) if make else _Rerun(recon, dag)
+    scan = getattr(recon, "scan", None)
+    return _BatchOrder(dag, scan(dag)) if scan else _Rerun(recon, dag)
 
 
 RECONCILERS = {"bfs": f_bfs, "fair": f_fair, "lifo": f_lifo}

@@ -39,6 +39,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 from .broadcast import ReliableBroadcast
 from .dag import Command
@@ -74,24 +75,9 @@ class Scenario:
     name: str = ""
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "n": self.n,
-            "datatype": self.datatype,
-            "recon": self.recon,
-            "seed": self.seed,
-            "delay_max": self.delay_max,
-            "quiescence_flush": self.quiescence_flush,
-            "snapshot_every": self.snapshot_every,
-            "workload": [[t, r, list(op)] for t, r, op in self.workload],
-            "crashes": [[r, t] for r, t in self.crashes],
-            "partitions": [{"links": [list(l) for l in p.links],
-                            "start": p.start, "end": p.end}
-                           for p in self.partitions],
-            "deliveries": (None if self.deliveries is None else
-                           sorted([dst, j, s, t] for (dst, j, s), t
-                                  in self.deliveries.items())),
-        }
+        items = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {key: _TO_JSON[key](value) if key in _TO_JSON else value
+                for key, value in items}
 
     @classmethod
     def from_dict(cls, d):
@@ -128,7 +114,18 @@ class Scenario:
         return cls.from_dict(doc)
 
 
-# from_dict's converters from the JSON form of the fields that have one
+# to_dict's converters to the JSON form of the fields that need one, and
+# from_dict's back
+_TO_JSON = {
+    "workload": lambda rows: [[t, r, list(op)] for t, r, op in rows],
+    "crashes": lambda rows: [[r, t] for r, t in rows],
+    "partitions": lambda rows: [{"links": [list(l) for l in p.links],
+                                 "start": p.start, "end": p.end}
+                                for p in rows],
+    "deliveries": lambda rows: (None if rows is None else
+                                sorted([dst, j, s, t] for (dst, j, s), t
+                                       in rows.items())),
+}
 _FROM_JSON = {
     "workload": lambda rows: [(t, r, tuple(op)) for t, r, op in rows],
     "crashes": lambda rows: [(r, t) for r, t in rows],
@@ -175,6 +172,7 @@ def _read_jsonl(path):
     message.
     """
     values, run, slots = [], [], []     # slots: where run's values go
+    template_line = _template_line()
 
     def parse_run():
         for at, value in zip(slots, _parse_lines(run)):
@@ -185,7 +183,7 @@ def _read_jsonl(path):
     with open(path, encoding="utf-8") as fh:
         try:
             for number, line in enumerate(fh, 1):
-                if _TEMPLATE_LINE(line):
+                if template_line(line):
                     slots.append(len(values))
                     values.append(None)
                     run.append(line)
@@ -234,14 +232,17 @@ def _json_error(line):
 _INT = r"-?(?:0|[1-9][0-9]{0,17})"
 _PAIR = r"\[%s,%s\]" % (_INT, _INT)
 _PAIRS = r"\[(?:%s(?:,%s)*)?\]" % (_PAIR, _PAIR)
-_TEMPLATE_LINE = re.compile((
-    r'(?:\{"at":%(i)s,"deliver_at":(?:%(i)s|null),"dst":%(i)s,"kind":"send",'
-    r'"src":%(i)s,"t":%(i)s,"uid":%(p)s\}'
-    r'|\{"kind":"deliver","replica":%(i)s,"t":%(i)s,"uid":%(p)s\}'
-    r'|\{"kind":"insert","parents":%(ps)s,"replica":%(i)s,"t":%(i)s,'
-    r'"vertex":%(p)s\}'
-    r'|\{"add":%(ps)s,"keep":%(i)s,"kind":"history","replica":%(i)s,'
-    r'"t":%(i)s\})\n?') % {"i": _INT, "p": _PAIR, "ps": _PAIRS}).fullmatch
+
+
+@cache
+def _template_line():
+    """The `fullmatch` of such a line, compiled on first use."""
+    formats = (_SEND, _SEND_UNDELIVERED, _DELIVER, _INSERT, _HISTORY)
+    return re.compile("(?:%s)\n?" % "|".join(
+        re.escape(f.rstrip("\n")).replace(re.escape("[%s]"), _PAIRS)
+        .replace("%d", _INT) for f in formats)).fullmatch
+
+
 # The most lines parsed in one call.  The scanner shares key strings only
 # within a call; the cap bounds the joined text.
 _RUN = 1024

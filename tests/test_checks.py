@@ -9,7 +9,8 @@ from dagrepl.checks import _batches_verified, check_convergence, \
     check_safety, check_stability, fairness_report, run_all_checks, \
     stable_prefix
 from dagrepl.dag import Command, CommandDag, EPSILON
-from dagrepl.reconcile import _LeaderScan, f_bfs, f_fair, fair_leaders
+from dagrepl.reconcile import _LeaderScan, f_bfs, f_fair, f_lifo, \
+    fair_leaders
 from dagrepl.sim import ConfigError, Trace, full_histories, run
 from dagrepl.scenarios import STARVATION_VICTIM, continuous_scenario, \
     fig1_scenario, random_scenario, starvation_scenario
@@ -345,6 +346,28 @@ def test_fair_checker_reruns_no_scan_per_snapshot(random_trace, monkeypatch):
     # fair_leaders(dag) starts a scan, which runs from round 0 too
     assert len(restarts) <= n * (1 + len(issuers)) + len(calls)
     assert len(snapshots) > 5 * len(restarts)
+
+
+@pytest.mark.parametrize("recon, scanned", [(f_bfs, True), (f_fair, True),
+                                            (f_lifo, False)],
+                         ids=["bfs", "fair", "lifo"])
+def test_checker_takes_its_scans_from_the_reconciler(recon, scanned,
+                                                     monkeypatch):
+    # check_safety builds one leader scan per replica from `recon.scan`,
+    # and none for a reconciler without one
+    trace = run(random_scenario(21, recon.__name__[2:]))
+    built = []
+    if scanned:
+        real = recon.scan
+
+        def counted(dag):
+            built.append(dag)
+            return real(dag)
+
+        monkeypatch.setattr(recon, "scan", counted)
+    assert check_safety(trace)["ok"]
+    assert len(built) == (trace.meta["scenario"]["n"] if scanned else 0)
+    assert len(set(map(id, built))) == len(built)
 
 
 def _mutants(rng, dag, h):

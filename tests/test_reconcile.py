@@ -6,11 +6,11 @@ import pytest
 from dagrepl.dag import Command, CommandDag, EPSILON, level_key, \
     parse_dag
 from dagrepl.reconcile import RECONCILERS, _LeaderScan, f_bfs, f_fair, \
-    f_lifo, fair_leaders, get_reconciler
+    f_lifo, fair_leaders, get_reconciler, open_session
 from dagrepl.scenarios import FIG1_BFS_ORDER, FIG1_FAIR_ORDER
 
-from oracles import brute_dist, brute_past, oracle_f_bfs, oracle_f_fair, \
-    random_out_of_order_dag, random_protocol_dag
+from oracles import brute_dist, brute_past, lcp, oracle_f_bfs, \
+    oracle_f_fair, random_out_of_order_dag, random_protocol_dag
 
 
 def keys(history):
@@ -54,10 +54,14 @@ def _scan_paths(whole, order):
     parents there, one at a time.  After each insert a `_LeaderScan` that
     has seen every insert must hold `fair_leaders(dag)`, whose batches
     make `oracle_f_fair(dag)`, and keep every leader before the index it
-    returns, all of them for None.  Returns a Counter of the paths taken:
-    "none", "resumed" (a positive index), "new issuer", "out of order"."""
+    returns, all of them for None.  A session of f_bfs and one of f_fair
+    see the same inserts; each must hold its reconciler's history and
+    return exactly the length of the common prefix with its previous
+    one.  Returns a Counter of the paths taken: "none", "resumed" (a
+    positive index), "new issuer", "out of order"."""
     dag = CommandDag()
     scan = _LeaderScan(dag)
+    sessions = {recon: open_session(recon, dag) for recon in (f_bfs, f_fair)}
     paths = Counter()
     for v in order:
         old = list(scan.leaders)
@@ -67,6 +71,11 @@ def _scan_paths(whole, order):
         k = scan.insert(v)
         assert scan.leaders == fair_leaders(dag)
         assert keys(f_fair(dag)) == keys(oracle_f_fair(dag))
+        for recon, session in sessions.items():
+            previous = session.history
+            pos = session.insert(v)
+            assert session.history == recon(dag)
+            assert pos == lcp(previous, session.history)
         if k is None:
             assert scan.leaders == old
         else:

@@ -193,7 +193,7 @@ def test_incremental_history_matches_from_scratch(recon, spec):
 
 @pytest.mark.parametrize("recon", [f_bfs, f_fair], ids=["bfs", "fair"])
 def test_key_reconciler_is_never_rerun(recon):
-    # A wrapped reconciler keeps its session attribute, and with it the
+    # A wrapped reconciler keeps its scan attribute, and with it the
     # incremental path.
     calls = []
 

@@ -410,7 +410,7 @@ def test_written_lines_are_the_encoder_lines(tmp_path):
         kinds = set()
         for ev, line in zip(trace.events, lines[1:]):
             if ev["kind"] in formatted:
-                assert sim._TEMPLATE_LINE(line), line
+                assert sim._template_line()(line), line
                 kinds.add(ev["kind"])
         assert kinds == formatted, sc.name
 
@@ -467,7 +467,7 @@ def test_template_lines_match_the_encoder_on_odd_events(tmp_path):
     samples.append({**samples[3], "add": []})
     lines = []
     for sample in samples:
-        assert sim._TEMPLATE_LINE(sim._encode(sample))
+        assert sim._template_line()(sim._encode(sample))
         for ev in _perturbed(sample):
             try:
                 lines.append(sim._encode(ev))
