@@ -110,17 +110,19 @@ class CommandDag:
             raise MissingParent("vertex %r needs at least one parent" % (v,))
         if v in self._parents:
             raise DuplicateVertex(repr(v))
-        for p in parents:
-            if p is not EPSILON and p not in self._parents:
-                raise MissingParent(repr(p))
-        self._parents[v] = parents
-        self._key[v] = (1 + max(0 if p is EPSILON else self._key[p][0]
-                                for p in parents), v.issuer, v.seq)
-        mask = 1 << len(self._order)
+        key, past = self._key, self._past
+        dist, mask = 0, 1 << len(self._order)
         for p in parents:
             if p is not EPSILON:
-                mask |= self._past[p]
-        self._past[v] = mask
+                try:
+                    mask |= past[p]
+                except KeyError:
+                    raise MissingParent(repr(p)) from None
+                if key[p][0] > dist:
+                    dist = key[p][0]
+        self._parents[v] = parents
+        self._key[v] = (dist + 1, v.issuer, v.seq)
+        past[v] = mask
         self._order.append(v)
         self._childless -= parents
         self._childless.add(v)

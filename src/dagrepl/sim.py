@@ -13,22 +13,26 @@ and `add` the commands after it, so a snapshot costs the change, not the
 history.  `keep` below the previous length is a revocation.
 `full_histories` decodes the deltas back into full histories.  A trace
 file holds one compact, sorted-key JSON value per line, which the
-simulator writes as each event happens; the trace `run` returns is those
-lines, and its events are parsed from them on first read.  Reading takes
-any spacing that per-line `json.loads` takes; the lines in the
-simulator's int-only form are parsed many to one call, so that their
-events share their key strings.
+simulator writes as each event happens: a send, deliver, insert, history,
+append or append_bottom line from a format with the encoder's bytes (an
+append's op text is encoded once, with its workload entry), a crash or
+partition line by the encoder.  The trace `run` returns is those lines,
+and its events are parsed from them on first read.  Reading takes any
+spacing that per-line `json.loads` takes; the lines in the simulator's
+int-only form are parsed many to one call, so that their events share
+their key strings.
 
-Timing model: channel delays are drawn from the seeded RNG (or pinned by
-an explicit per-message delivery script); partitions defer deliveries on
-cut links until the partition ends, never dropping them.  A crash
-permanently silences a replica; messages it still had in flight are
-dropped or kept per destination (seeded coin), which is what exercises the
-broadcast layer's forwarding path.  A channel send of a vertex the
-destination already holds is recorded as a `send` event but its receipt
-is never scheduled: the broadcast layer would drop it as a duplicate.
-A scenario may make at most `_SEND_BUDGET` channel sends, n(n-1) per
-command.  When `run` returns, only the trace is left of the simulation.
+Timing model: channel delays are drawn from the seeded RNG as
+`randint(1, delay_max)` draws them (or pinned by an explicit per-message
+delivery script); partitions defer deliveries on cut links until the
+partition ends, never dropping them.  A crash permanently silences a
+replica; messages it still had in flight are dropped or kept per
+destination (seeded coin), which is what exercises the broadcast layer's
+forwarding path.  A channel send of a vertex the destination already
+holds is recorded as a `send` event but its receipt is never scheduled:
+the broadcast layer would drop it as a duplicate.  A scenario may make at
+most `_SEND_BUDGET` channel sends, n(n-1) per command.  When `run`
+returns, only the trace is left of the simulation.
 """
 
 from __future__ import annotations
@@ -226,10 +230,13 @@ def _json_error(line):
 
 
 # A line of the simulator's form of a send, deliver, insert or history
-# event (`_SEND`, ...), with canonical ints of at most 18 digits.  It is
-# exactly one JSON value, so a run of such lines joined by commas is one
-# JSON array; the digit bound keeps that parse below the int digit limit.
-_INT = r"-?(?:0|[1-9][0-9]{0,17})"
+# event (`_SEND`, ...), with canonical ints of at most 18 digits, none
+# negative: the simulator writes none.  It is exactly one JSON value, so a
+# run of such lines joined by commas is one JSON array; the digit bound
+# keeps that parse below the int digit limit.  The pattern is compiled in
+# every process that reads a trace, so the int group, copied 32 times, is
+# kept short: a lookahead for the leading zero, not an alternation.
+_INT = r"(?!0\d)\d{1,18}"
 _PAIR = r"\[%s,%s\]" % (_INT, _INT)
 _PAIRS = r"\[(?:%s(?:,%s)*)?\]" % (_PAIR, _PAIR)
 
@@ -248,9 +255,10 @@ def _template_line():
 _RUN = 1024
 
 
-# The lines of the simulator's send, deliver, insert and history events,
-# most of a trace: `_encode`'s bytes for the ints the simulator owns.
-# `_INSERT`'s parents and `_HISTORY`'s add are filled with `_pairs`.
+# The lines of the simulator's send, deliver, insert, history and append
+# events, all but a handful of a trace: `_encode`'s bytes for the values the
+# simulator owns.  `_INSERT`'s parents and `_HISTORY`'s add are filled with
+# `_pairs`, `_APPEND`'s and `_APPEND_BOTTOM`'s op and resp with `_encode`.
 _SEND = ('{"at":%d,"deliver_at":%d,"dst":%d,"kind":"send","src":%d,"t":%d,'
          '"uid":[%d,%d]}\n')
 _SEND_UNDELIVERED = ('{"at":%d,"deliver_at":null,"dst":%d,"kind":"send",'
@@ -259,6 +267,9 @@ _DELIVER = '{"kind":"deliver","replica":%d,"t":%d,"uid":[%d,%d]}\n'
 _INSERT = ('{"kind":"insert","parents":[%s],"replica":%d,"t":%d,'
            '"vertex":[%d,%d]}\n')
 _HISTORY = '{"add":[%s],"keep":%d,"kind":"history","replica":%d,"t":%d}\n'
+_APPEND = ('{"kind":"append","op":%s,"replica":%d,"resp":%s,"seq":%d,'
+           '"t":%d}\n')
+_APPEND_BOTTOM = '{"kind":"append_bottom","op":%s,"replica":%d,"t":%d}\n'
 
 
 def _pairs(uids):
@@ -357,8 +368,9 @@ _SEND_BUDGET = 10**6
 
 
 def _validate(sc: Scenario):
-    """The data type and the reconciler `sc` names; raise ConfigError
-    naming the first malformed field of `sc`."""
+    """The data type and the reconciler `sc` names, and the JSON text of
+    each workload entry's op; raise ConfigError naming the first malformed
+    field of `sc`."""
     for name, least in (("n", 1), ("delay_max", 1), ("snapshot_every", 1)):
         value = getattr(sc, name)
         _need(_is_int(value) and value >= least,
@@ -377,6 +389,9 @@ def _validate(sc: Scenario):
     def replica(r):
         return _is_int(r) and 1 <= r <= sc.n
 
+    # each entry's own text: equal ops such as ("push", 1) and
+    # ("push", 1.0) are written as they were given
+    op_texts = []
     for t, r, op in sc.workload:
         _need(_is_int(t) and t >= 0, "a workload time must be an integer "
               ">= 0", t)
@@ -384,7 +399,7 @@ def _validate(sc: Scenario):
         try:
             hash(op)
             spec.step(spec.initial_state, op)
-            _encode(op)         # the simulator writes it in its trace lines
+            op_texts.append(_encode(op))
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError("workload op %r fails on %s (%s)"
                               % (op, spec.name, exc)) from None
@@ -405,14 +420,15 @@ def _validate(sc: Scenario):
     if sc.deliveries is not None and sc.partitions:
         raise ConfigError("a scenario with deliveries cannot have partitions:"
                           " a scripted delivery time is final")
-    return spec, recon
+    return spec, recon, op_texts
 
 
 class _Sim:
     def __init__(self, scenario: Scenario):
-        self.spec, self.recon = _validate(scenario)
+        self.spec, self.recon, self.op_texts = _validate(scenario)
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
+        self.delay_bits = scenario.delay_max.bit_length()
         self.lines = []            # the trace's event lines, as written
         self.step = 0
         self.now = 0
@@ -443,17 +459,27 @@ class _Sim:
                 rid, self.spec, self.recon,
                 broadcast=self._make_broadcast(rid),
                 on_insert=self._make_on_insert(rid))
+        # each replica DAG's live past_masks(): its keys are the vertices
+        # the replica holds
+        self.pasts = {rid: r.dag.past_masks()
+                      for rid, r in self.replicas.items()}
+        # vertex -> its `_INSERT` parents text; a vertex has the same
+        # parents at every replica
+        self.parents_text = {}
 
     def _make_broadcast(self, rid):
         return lambda msg: self.rb.r_broadcast(rid, msg)
 
     def _make_on_insert(self, rid):
         def hook(v, parents):
+            text = self.parents_text.get(v)
+            if text is None:
+                text = self.parents_text[v] = _pairs(sorted(
+                    [(p.issuer, p.seq) for p in parents
+                     if isinstance(p, Command)]))
             self.step += 1
-            self.lines.append(_INSERT % (
-                _pairs(sorted([(p.issuer, p.seq) for p in parents
-                               if isinstance(p, Command)])),
-                rid, self.step, v.issuer, v.seq))
+            self.lines.append(_INSERT % (text, rid, self.step, v.issuer,
+                                         v.seq))
         return hook
 
     # --- event plumbing ------------------------------------------------
@@ -494,7 +520,12 @@ class _Sim:
                 self.flush_tick += 1
                 at = self.flush_base + self.flush_tick
             return max(at, self.now + 1)
-        at = self.now + self.rng.randint(1, sc.delay_max)
+        # randint(1, delay_max) as random.Random draws it (3.10-3.13):
+        # 1 + the first delay_max.bit_length()-bit draw below delay_max
+        r = self.rng.getrandbits(self.delay_bits)
+        while r >= sc.delay_max:
+            r = self.rng.getrandbits(self.delay_bits)
+        at = self.now + 1 + r
         # a partition covering the arrival defers it to the partition end;
         # chained partitions are re-checked until the time is clear
         moved = True
@@ -520,7 +551,7 @@ class _Sim:
                                    v.issuer, v.seq))
         # a vertex dst already holds is in its broadcast layer's seen set,
         # so the receipt would be dropped untouched: it is not scheduled
-        if v not in self.replicas[dst].dag:
+        if v not in self.pasts[dst]:
             self._push(at, self._handle_recv, src, dst, msg)
 
     def _rb_deliver(self, rid, msg):
@@ -531,18 +562,18 @@ class _Sim:
 
     # --- handlers ---------------------------------------------------------
 
-    def _handle_append(self, rid, op):
+    def _handle_append(self, rid, op, op_text):
         if rid in self.crashed:
             return
-        before = len(self.replicas[rid].dag)
-        resp = self.replicas[rid].append(op)
-        if resp == BOTTOM and len(self.replicas[rid].dag) == before:
-            self._emit({"kind": "append_bottom", "replica": rid,
-                        "op": list(op)})
+        replica, past = self.replicas[rid], self.pasts[rid]
+        before = len(past)
+        resp = replica.append(op)
+        self.step += 1
+        if resp == BOTTOM and len(past) == before:
+            self.lines.append(_APPEND_BOTTOM % (op_text, rid, self.step))
             return
-        seq = self.replicas[rid].next_seq - 1
-        self._emit({"kind": "append", "replica": rid, "op": list(op),
-                    "seq": seq, "resp": resp})
+        self.lines.append(_APPEND % (op_text, rid, _encode(resp),
+                                     replica.next_seq - 1, self.step))
         self._snapshot(rid, force=True)
 
     def _handle_recv(self, src, dst, msg):
@@ -554,9 +585,10 @@ class _Sim:
                 return
         if dst in self.crashed:
             return
-        before = len(self.replicas[dst].dag)
+        past = self.pasts[dst]
+        before = len(past)
         self.rb.on_receive(dst, msg)
-        if len(self.replicas[dst].dag) != before:
+        if len(past) != before:
             self._snapshot(dst)
 
     def _handle_crash(self, rid):
@@ -570,8 +602,8 @@ class _Sim:
 
     def run(self):
         sc = self.scenario
-        for t, r, op in sc.workload:
-            self._push(t, self._handle_append, r, op)
+        for (t, r, op), op_text in zip(sc.workload, self.op_texts):
+            self._push(t, self._handle_append, r, op, op_text)
         for r, t in sc.crashes:
             self._push(t, self._handle_crash, r)
         for p in sc.partitions:
@@ -592,8 +624,9 @@ class _Sim:
             "crashed": sorted(self.crashed),
         }
         # the broadcast layer and the replicas call back into the sim; drop
-        # them so that the run is freed with the sim, not by a collection
-        del self.rb, self.replicas
+        # them, and the DAG maps, so that the run is freed with the sim,
+        # not by a collection
+        del self.rb, self.replicas, self.pasts
         return Trace._of_lines(meta, self.lines)
 
 

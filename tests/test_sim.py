@@ -1,5 +1,8 @@
 import gc
 import json
+import pathlib
+import random
+import re
 
 import pytest
 
@@ -59,6 +62,37 @@ def test_append_bottom_recorded():
     trace = run(sc)
     kinds = [ev["kind"] for ev in trace.events]
     assert "append_bottom" in kinds and "append" not in kinds
+
+
+def test_an_op_is_written_as_its_workload_entry_gave_it(tmp_path):
+    # equal ops, so equal dict keys, each with a JSON text of its own
+    ops = [("push", 1), ("push", True), ("push", 1.0)]
+    texts = ['["push",1]', '["push",true]', '["push",1.0]']
+    sc = Scenario(n=2, datatype="intlog", recon="bfs",
+                  workload=[(t, 1, op) for t, op in enumerate(ops, 1)])
+    path = tmp_path / "t.jsonl"
+    run(sc).to_jsonl(path)
+    written = re.findall(r'"kind":"append","op":(.*?),"replica"',
+                         path.read_text())
+    assert written == texts
+    read = [sim._encode(ev["op"]) for ev in Trace.from_jsonl(path).events
+            if ev["kind"] == "append"]
+    assert read == texts
+
+
+@pytest.mark.parametrize("delay_max", [1, 2, 3, 7, 8, 10, 64])
+def test_delays_are_randint_draws(delay_max):
+    # no partition, crash or script: every send's delay is the next draw
+    for seed in range(3):
+        sc = Scenario(n=3, datatype="intlog", recon="bfs", seed=seed,
+                      delay_max=delay_max,
+                      workload=[(4 * t, 1 + t % 3, ("push", t))
+                                for t in range(12)])
+        delays = [ev["deliver_at"] - ev["at"] for ev in run(sc).events
+                  if ev["kind"] == "send"]
+        rng = random.Random(seed)
+        assert len(delays) == 12 * 3 * 2
+        assert delays == [rng.randint(1, delay_max) for _ in delays]
 
 
 def test_crashed_replica_stops_appending():
@@ -389,6 +423,9 @@ def _writer_scenarios():
     for recon in ("bfs", "fair"):
         yield fig1_scenario(recon)
         yield starvation_scenario(recon)
+    # disabled ops: append_bottom lines
+    yield Scenario.load(pathlib.Path(__file__).parent / "fixtures"
+                        / "nfs_bottoms.json")
     for seed in range(6):
         for recon in ("bfs", "fair", "lifo"):
             yield random_scenario(seed, recon)

@@ -17,9 +17,10 @@ import pytest
 
 from dagrepl.scenarios import continuous_scenario, fig1_scenario, \
     random_scenario, starvation_scenario
-from dagrepl.sim import Trace, run
+from dagrepl.sim import Scenario, Trace, run
 
-FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "trace_sha256.json"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+FIXTURE = FIXTURES / "trace_sha256.json"
 
 
 def _scenarios():
@@ -35,6 +36,9 @@ def _scenarios():
     sc = random_scenario(5, "fair")     # sends past the horizon: null times
     sc.quiescence_flush = False
     yield "random:fair:5:no-flush", sc
+    # scripted nfs with disabled ops (`append_bottom` lines) and string ops
+    # that JSON escapes
+    yield "nfs_bottoms", Scenario.load(FIXTURES / "nfs_bottoms.json")
 
 
 def _digests(directory):
@@ -45,6 +49,8 @@ def _digests(directory):
         data = path.read_bytes()
         if name.endswith("no-flush"):
             assert b'"deliver_at":null' in data
+        if name == "nfs_bottoms":
+            assert b'"kind":"append_bottom"' in data and b"\\u00e9" in data
         digests[name] = hashlib.sha256(data).hexdigest()
     return digests
 
