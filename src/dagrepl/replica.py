@@ -128,8 +128,8 @@ class Replica:
     def _missing_parent(self, parents):
         """The missing parent with the least uid, or None; the first one
         found would follow the hash seed, and so would the trace."""
-        past = self.dag.past_masks()
-        missing = [p for p in parents if p is not EPSILON and p not in past]
+        missing = [p for p in parents
+                   if p is not EPSILON and p not in self.dag]
         return min(missing, key=_uid) if missing else None
 
     def _insert(self, v: Command, parents):

@@ -235,7 +235,9 @@ def _json_error(line):
 # run of such lines joined by commas is one JSON array; the digit bound
 # keeps that parse below the int digit limit.  The pattern is compiled in
 # every process that reads a trace, so the int group, copied 32 times, is
-# kept short: a lookahead for the leading zero, not an alternation.
+# kept short: a lookahead for the leading zero, not an alternation.  It is
+# compiled with re.ASCII, so that `\d` is a JSON digit, not any Unicode
+# decimal digit.
 _INT = r"(?!0\d)\d{1,18}"
 _PAIR = r"\[%s,%s\]" % (_INT, _INT)
 _PAIRS = r"\[(?:%s(?:,%s)*)?\]" % (_PAIR, _PAIR)
@@ -247,7 +249,7 @@ def _template_line():
     formats = (_SEND, _SEND_UNDELIVERED, _DELIVER, _INSERT, _HISTORY)
     return re.compile("(?:%s)\n?" % "|".join(
         re.escape(f.rstrip("\n")).replace(re.escape("[%s]"), _PAIRS)
-        .replace("%d", _INT) for f in formats)).fullmatch
+        .replace("%d", _INT) for f in formats), re.ASCII).fullmatch
 
 
 # The most lines parsed in one call.  The scanner shares key strings only
@@ -459,12 +461,9 @@ class _Sim:
                 rid, self.spec, self.recon,
                 broadcast=self._make_broadcast(rid),
                 on_insert=self._make_on_insert(rid))
-        # each replica DAG's live past_masks(): its keys are the vertices
-        # the replica holds
-        self.pasts = {rid: r.dag.past_masks()
-                      for rid, r in self.replicas.items()}
-        # vertex -> its `_INSERT` parents text; a vertex has the same
-        # parents at every replica
+        # vertex -> (parents, their `_INSERT` text) of its last formatted
+        # insert; the text is reused only for equal parents, so that each
+        # insert line shows the parents its replica inserted
         self.parents_text = {}
 
     def _make_broadcast(self, rid):
@@ -472,11 +471,14 @@ class _Sim:
 
     def _make_on_insert(self, rid):
         def hook(v, parents):
-            text = self.parents_text.get(v)
-            if text is None:
-                text = self.parents_text[v] = _pairs(sorted(
-                    [(p.issuer, p.seq) for p in parents
-                     if isinstance(p, Command)]))
+            cached = self.parents_text.get(v)
+            if cached is not None and (parents is cached[0]
+                                       or parents == cached[0]):
+                text = cached[1]
+            else:
+                text = _pairs(sorted([(p.issuer, p.seq) for p in parents
+                                      if isinstance(p, Command)]))
+                self.parents_text[v] = (parents, text)
             self.step += 1
             self.lines.append(_INSERT % (text, rid, self.step, v.issuer,
                                          v.seq))
@@ -551,7 +553,7 @@ class _Sim:
                                    v.issuer, v.seq))
         # a vertex dst already holds is in its broadcast layer's seen set,
         # so the receipt would be dropped untouched: it is not scheduled
-        if v not in self.pasts[dst]:
+        if v not in self.replicas[dst].dag:
             self._push(at, self._handle_recv, src, dst, msg)
 
     def _rb_deliver(self, rid, msg):
@@ -565,11 +567,11 @@ class _Sim:
     def _handle_append(self, rid, op, op_text):
         if rid in self.crashed:
             return
-        replica, past = self.replicas[rid], self.pasts[rid]
-        before = len(past)
+        replica = self.replicas[rid]
+        before = len(replica.dag)
         resp = replica.append(op)
         self.step += 1
-        if resp == BOTTOM and len(past) == before:
+        if resp == BOTTOM and len(replica.dag) == before:
             self.lines.append(_APPEND_BOTTOM % (op_text, rid, self.step))
             return
         self.lines.append(_APPEND % (op_text, rid, _encode(resp),
@@ -585,10 +587,10 @@ class _Sim:
                 return
         if dst in self.crashed:
             return
-        past = self.pasts[dst]
-        before = len(past)
+        dag = self.replicas[dst].dag
+        before = len(dag)
         self.rb.on_receive(dst, msg)
-        if len(past) != before:
+        if len(dag) != before:
             self._snapshot(dst)
 
     def _handle_crash(self, rid):
@@ -624,9 +626,8 @@ class _Sim:
             "crashed": sorted(self.crashed),
         }
         # the broadcast layer and the replicas call back into the sim; drop
-        # them, and the DAG maps, so that the run is freed with the sim,
-        # not by a collection
-        del self.rb, self.replicas, self.pasts
+        # them so that the run is freed with the sim, not by a collection
+        del self.rb, self.replicas
         return Trace._of_lines(meta, self.lines)
 
 

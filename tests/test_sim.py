@@ -7,7 +7,7 @@ import re
 import pytest
 
 from dagrepl import sim
-from dagrepl.broadcast import ReliableBroadcast
+from dagrepl.broadcast import BroadcastMessage, ReliableBroadcast
 from dagrepl.checks import check_convergence, check_safety, run_all_checks
 from dagrepl.cli import main
 from dagrepl.reconcile import get_reconciler
@@ -323,6 +323,9 @@ _DELIVER = '{"kind":"deliver","replica":1,"t":5,"uid":[1,2]}'
         _DELIVER.replace(':1,', ':1%s,' % ('0' * 29)),
         _DELIVER.replace(':1,', ':1%s,' % ('0' * 4300)),
         _DELIVER.replace('[1,2]', '[1,2,3]'),
+        # Unicode decimal digits are not JSON digits
+        _DELIVER.replace(':1,', ':\u0663,'),
+        _DELIVER.replace('[1,2]', '[1,\uff13]'),
         _DELIVER.replace(',', ', ', 1),
         _DELIVER + _DELIVER,
         _DELIVER + ' ' + _DELIVER,
@@ -332,7 +335,7 @@ _DELIVER = '{"kind":"deliver","replica":1,"t":5,"uid":[1,2]}'
     )),
     _DELIVER + '\r\n' + _DELIVER + '\r\n',
     _DELIVER + '\n' + _DELIVER,
-], ids=range(36))
+], ids=range(38))
 def test_reader_matches_per_line_json_loads(tmp_path, text):
     path = tmp_path / "lines.jsonl"
     path.write_text(text, encoding="utf-8")
@@ -552,3 +555,31 @@ def test_unscheduled_duplicate_receipts_change_no_event():
         assert every.run().events == held.run().events, (sc.name, sc.seed)
         skipped += every.push_counter - held.push_counter
     assert skipped > 0
+
+
+class _OtherParents(sim._Sim):
+    """The simulator that r-delivers one vertex to one replica that is not
+    its issuer with a parent fewer."""
+
+    patched = None
+
+    def _rb_deliver(self, rid, msg):
+        if (self.patched is None and msg.vertex.issuer != rid
+                and len(msg.parents) > 1):
+            dropped = min(msg.parents, key=lambda p: (p.issuer, p.seq))
+            msg = BroadcastMessage(msg.vertex, msg.parents - {dropped})
+            self.patched = rid, msg.vertex
+        super()._rb_deliver(rid, msg)
+
+
+def test_insert_lines_show_each_replicas_own_parents():
+    sc = random_scenario(0, "bfs")
+    assert check_safety(run(sc))["past_immutability"]["ok"]
+    other = _OtherParents(sc)
+    trace = other.run()
+    rid, v = other.patched
+    shown = {ev["replica"]: len(ev["parents"]) for ev in trace.events
+             if ev["kind"] == "insert"
+             and ev["vertex"] == [v.issuer, v.seq]}
+    assert shown[rid] == min(shown.values()) < max(shown.values())
+    assert not check_safety(trace)["past_immutability"]["ok"]
