@@ -38,7 +38,16 @@ from typing import NamedTuple
 
 from .dag import Command, CommandDag, DagError, EPSILON, level_key
 from .reconcile import get_reconciler
-from .sim import ConfigError, resolve
+from .sim import ConfigError, _is_int, resolve
+
+# meta fields the checkers read: key path, what it must be, and the test
+_META_FIELDS = (
+    (("scenario", "n"), "an integer >= 1", lambda x: _is_int(x) and x >= 1),
+    (("scenario", "recon"), "a string", lambda x: isinstance(x, str)),
+    (("quiescent",), "a boolean", lambda x: isinstance(x, bool)),
+    (("crashed",), "a list of integers",
+     lambda x: isinstance(x, list) and all(map(_is_int, x))),
+)
 
 
 def _int(x):
@@ -74,19 +83,29 @@ def _apply(h, keep, add):
 class _Digest:
     """One linear pass over the trace, shared by the checkers.
 
-    It is the checkers' only reader of raw events.  It requires strictly
+    It is the checkers' only reader of the meta and the raw events.  It
+    requires the meta fields it reads (`_META_FIELDS`), strictly
     increasing `t` and well-formed fields, with each `keep` between 0 and
-    the replica's previous history length, raising ConfigError that names the
-    offending event otherwise, so the checkers trust what it records.  It
-    also requires each replica in 1..n to be crashed or named by an event,
-    so that a hostile n cannot size the checkers' work, and resolves the
-    meta's reconciler name, raising ConfigError for an unknown one.  It
-    keeps each replica's current history as a list and a uid set, and
-    records per snapshot the facts that need the set.
+    the replica's previous history length, raising ConfigError that names
+    the offending field or event otherwise, so the checkers trust what it
+    records.  It also requires each replica in 1..n to be crashed or named
+    by an event, so that a hostile n cannot size the checkers' work, and
+    resolves the meta's reconciler name, raising ConfigError for an
+    unknown one.  It keeps each replica's current history as a list and a
+    uid set, and records per snapshot the facts that need the set.
     """
 
     def __init__(self, trace):
         meta = trace.meta
+        for path, kind, valid in _META_FIELDS:
+            node = meta
+            for key in path:
+                if not isinstance(node, dict) or key not in node:
+                    raise ConfigError("trace meta lacks %s" % ".".join(path))
+                node = node[key]
+            if not valid(node):
+                raise ConfigError("trace meta field %s is %r, not %s"
+                                  % (".".join(path), node, kind))
         self.n = meta["scenario"]["n"]
         self.recon = resolve(get_reconciler, "scenario.recon",
                              meta["scenario"]["recon"])

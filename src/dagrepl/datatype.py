@@ -29,10 +29,6 @@ class DataTypeSpec:
     initial_state: object
     step: Callable[[object, tuple], tuple]
 
-    def apply(self, state, op):
-        """Return (new_state, response) for `op` applied to `state`."""
-        return self.step(state, op)
-
 
 _INITIAL = object()
 
@@ -96,11 +92,30 @@ NFS = DataTypeSpec("nfs", frozenset({"/"}), _nfs_step)
 # --- Append-only integer log ------------------------------------------------
 #
 # Every push is enabled, so no command ever answers BOTTOM.  Useful for
-# isolating ordering behaviour from enabledness.
+# isolating ordering behaviour from enabledness.  A state is () or a _Log
+# node: a push shares its log, so it is O(1) and a kept state costs O(1)
+# memory, and a state iterates as its values and compares as their tuple.
+
+class _Log:
+    __slots__ = ("prev", "last")
+
+    def __init__(self, prev, last):
+        self.prev, self.last = prev, last
+
+    def __iter__(self):     # a loop: a log can outgrow the recursion limit
+        values, node = [], self
+        while type(node) is _Log:
+            values.append(node.last)
+            node = node.prev
+        return reversed(values)
+
+    def __eq__(self, other):
+        return isinstance(other, (tuple, _Log)) and tuple(self) == tuple(other)
+
 
 def _intlog_step(state, op):
     if op[0] == "push":
-        return state + (op[1],), OK
+        return _Log(state, op[1]), OK
     raise ValueError("unknown intlog operation: %r" % (op,))
 
 

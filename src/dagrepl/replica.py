@@ -9,12 +9,12 @@ whose parents have not arrived yet are parked until they have.
 The history is kept up to date by a reconciler session
 (`reconcile.open_session`): each inserted vertex is handed to the session,
 which updates the history and reports the first position that changed.
-Data-type states are cached every `_STRIDE` positions plus at the furthest
-position replayed, and a replay resumes from the nearest cached state at or
-before that position instead of from the initial state.  `history_delta`
-reports the history as a change against the previous report; its search
-for their longest common prefix starts at the lowest position changed
-since then.
+Data-type states are kept on a stack of (k, state after the first k
+history commands), k rising.  A replay resumes from the top entry and
+pushes the state it reaches; a change pops the entries past the position
+it reports.  `history_delta` reports the history as a change against the
+previous report; its search for their longest common prefix starts at
+the lowest position changed since then.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from .broadcast import BroadcastMessage
 from .dag import Command, CommandDag, EPSILON
 from .datatype import BOTTOM, DataTypeSpec, replay
 from .reconcile import open_session
-
-# Positions between cached data-type states.  One state per position makes
-# a long intlog run's memory quadratic in its length; a stride bounds the
-# replay after a change to this many steps plus the changed suffix.
-_STRIDE = 16
 
 _uid = attrgetter("issuer", "seq")
 
@@ -52,11 +47,9 @@ class Replica:
         self._broadcast = broadcast if broadcast else (lambda msg: None)
         self._on_insert = on_insert
         self._session = open_session(recon, self.dag)
-        # _states[i] is the state after the first i * _STRIDE commands;
-        # _tip the furthest (position, state) replayed.  Both always
-        # describe the current history.
-        self._states = [spec.initial_state]
-        self._tip = (0, spec.initial_state)
+        # (k, state after the first k commands), k rising; every entry
+        # describes the current history
+        self._kept = [(0, spec.initial_state)]
         # the history at the last history_delta call, and the lowest
         # position changed since then
         self._reported = self.history
@@ -74,10 +67,10 @@ class Replica:
         history.  On success the new vertex hangs off the current leaves,
         the history is updated, the vertex is broadcast, and the response
         is the one the command has in the post-insertion history.  Both
-        states are replayed from the nearest cached state.
+        states are replayed from the top kept state below them.
         """
         state, _ = self._replay_to(len(self.history))
-        _, resp = self.spec.apply(state, op)
+        _, resp = self.spec.step(state, op)
         if resp == BOTTOM:
             return BOTTOM
         parents = self.dag.leaves()
@@ -145,28 +138,20 @@ class Replica:
             self._on_insert(v, parents)
 
     def _changed_from(self, pos):
-        """Drop the cached states past `pos`, where the history changed."""
+        """Drop the kept states past `pos`, where the history changed."""
         self._low = min(self._low, pos)
-        del self._states[pos // _STRIDE + 1:]
-        if self._tip[0] > pos:
-            self._tip = ((len(self._states) - 1) * _STRIDE, self._states[-1])
+        while self._kept[-1][0] > pos:
+            self._kept.pop()
 
     def _replay_to(self, pos):
         """State after the first `pos` history commands, and the responses
-        of the commands replayed from the nearest cached state to get it."""
-        k, state = self._tip
-        if pos < k:
-            k = pos - pos % _STRIDE
-            state = self._states[k // _STRIDE]
-        responses = []
-        while k < pos:
-            end = min(pos, k - k % _STRIDE + _STRIDE)
-            state, done = replay(self.spec, self._session.history[k:end],
-                                 state)
-            responses += done
-            k = end
-            if k == len(self._states) * _STRIDE:
-                self._states.append(state)
-        if k >= self._tip[0]:
-            self._tip = (k, state)
+        of the commands replayed from the top kept state to get it."""
+        kept = self._kept
+        while kept[-1][0] > pos:
+            kept.pop()
+        k, state = kept[-1]
+        state, responses = replay(self.spec, self._session.history[k:pos],
+                                  state)
+        if k < pos:
+            kept.append((pos, state))
         return state, responses

@@ -148,16 +148,6 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# meta fields the checkers read: key path, what it must be, and the test
-_META_FIELDS = (
-    (("scenario", "n"), "an integer >= 1", lambda x: _is_int(x) and x >= 1),
-    (("scenario", "recon"), "a string", lambda x: isinstance(x, str)),
-    (("quiescent",), "a boolean", lambda x: isinstance(x, bool)),
-    (("crashed",), "a list of integers",
-     lambda x: isinstance(x, list) and all(map(_is_int, x))),
-)
-
-
 # One encoder for every line: compact JSON with sorted keys, so a trace
 # file is deterministic bytes.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -323,16 +313,6 @@ class Trace:
             raise ConfigError("%s: trace schema %r, not %d; record the "
                               "trace again" % (path, lines[0]["schema"],
                                                TRACE_SCHEMA))
-        for field, kind, valid in _META_FIELDS:
-            node = lines[0]
-            for key in field:
-                if not isinstance(node, dict) or key not in node:
-                    raise ConfigError("%s: meta line lacks %s"
-                                      % (path, ".".join(field)))
-                node = node[key]
-            if not valid(node):
-                raise ConfigError("%s: meta field %s is %r, not %s"
-                                  % (path, ".".join(field), node, kind))
         return cls(lines[0], lines[1:])
 
 

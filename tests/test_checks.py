@@ -701,3 +701,19 @@ def test_run_all_checks_rejects_unknown_recon(random_trace, recon):
     meta["scenario"]["recon"] = recon
     with pytest.raises(ConfigError, match="recon"):
         run_all_checks(Trace(meta, random_trace.events))
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda meta: meta.pop("quiescent"), "quiescent"),
+    (lambda meta: meta.pop("scenario"), "scenario.n"),
+    (lambda meta: meta.update(crashed=5), "crashed"),
+    (lambda meta: meta["scenario"].update(n="5"), "scenario.n"),
+], ids=["no_quiescent", "no_scenario", "integer_crashed", "string_n"])
+def test_malformed_meta_of_an_in_memory_trace_is_named(edit, field):
+    # A Trace built in memory skips the file reader; the checkers' reader
+    # must still refuse its meta by name before reading any of it.
+    trace = run(random_scenario(0, "bfs", commands=20))
+    meta = copy.deepcopy(trace.meta)
+    edit(meta)
+    with pytest.raises(ConfigError, match="meta .*%s" % field):
+        run_all_checks(Trace(meta, trace.events))

@@ -8,44 +8,44 @@ from conftest import FIXTURES
 
 
 def test_mkdir_under_root():
-    state, resp = NFS.apply(frozenset({"/"}), ("mkdir", "/", "d2"))
+    state, resp = NFS.step(frozenset({"/"}), ("mkdir", "/", "d2"))
     assert resp == OK
     assert state == frozenset({"/", "/d2"})
 
 
 def test_rmdir_with_child_is_disabled():
     s = frozenset({"/", "/d2", "/d2/d4"})
-    state, resp = NFS.apply(s, ("rmdir", "/d2"))
+    state, resp = NFS.step(s, ("rmdir", "/d2"))
     assert resp == BOTTOM
     assert state is s
 
 
 def test_rmdir_missing_directory_is_disabled():
     s = frozenset({"/"})
-    state, resp = NFS.apply(s, ("rmdir", "/d9"))
+    state, resp = NFS.step(s, ("rmdir", "/d9"))
     assert (state, resp) == (s, BOTTOM)
 
 
 def test_rmdir_root_is_disabled():
-    state, resp = NFS.apply(frozenset({"/"}), ("rmdir", "/"))
+    state, resp = NFS.step(frozenset({"/"}), ("rmdir", "/"))
     assert resp == BOTTOM
 
 
 def test_mkdir_existing_target_is_disabled():
     s = frozenset({"/", "/d1"})
-    state, resp = NFS.apply(s, ("mkdir", "/", "d1"))
+    state, resp = NFS.step(s, ("mkdir", "/", "d1"))
     assert (state, resp) == (s, BOTTOM)
 
 
 def test_mkdir_under_missing_path_is_disabled():
     s = frozenset({"/"})
-    assert NFS.apply(s, ("mkdir", "/nope", "x")) == (s, BOTTOM)
+    assert NFS.step(s, ("mkdir", "/nope", "x")) == (s, BOTTOM)
 
 
 def test_intlog_every_push_enabled():
     state = INTLOG.initial_state
     for k in range(5):
-        state, resp = INTLOG.apply(state, ("push", k))
+        state, resp = INTLOG.step(state, ("push", k))
         assert resp == OK
     assert state == (0, 1, 2, 3, 4)
 
@@ -111,7 +111,7 @@ def test_determinism():
     ops = [("mkdir", "/", "x"), ("rmdir", "/a"), ("rmdir", "/a/b"),
            ("mkdir", "/a", "b")]
     for op in ops:
-        assert NFS.apply(state, op) == NFS.apply(state, op)
+        assert NFS.step(state, op) == NFS.step(state, op)
 
 
 def test_bottom_neutrality_random():
@@ -123,7 +123,7 @@ def test_bottom_neutrality_random():
             op = ("mkdir", rng.choice(parts), rng.choice("abc"))
         else:
             op = ("rmdir", rng.choice(parts))
-        new, resp = NFS.apply(state, op)
+        new, resp = NFS.step(state, op)
         if resp == BOTTOM:
             assert new == state
         state = new

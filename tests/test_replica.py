@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from dagrepl import replica as replica_mod
 from dagrepl.broadcast import BroadcastMessage
 from dagrepl.dag import Command, EPSILON
 from dagrepl.datatype import BOTTOM, INTLOG, NFS, OK, replay
@@ -144,7 +143,7 @@ def _random_op(rng, spec, k):
 @pytest.mark.parametrize("spec", [INTLOG, NFS], ids=["intlog", "nfs"])
 def test_incremental_history_matches_from_scratch(recon, spec):
     # Three replicas; messages reach each one in random order, so vertices
-    # get parked and the cached states are invalidated at random positions.
+    # get parked and the kept states are invalidated at random positions.
     rng = random.Random(recon.__name__ + spec.name)
     inbox = {rid: [] for rid in (1, 2, 3)}
 
@@ -171,7 +170,7 @@ def test_incremental_history_matches_from_scratch(recon, spec):
             resp = r.append(op)
             if resp == BOTTOM and r.history == before:
                 state, _ = replay(spec, before)
-                assert spec.apply(state, op)[1] == BOTTOM
+                assert spec.step(state, op)[1] == BOTTOM
             else:
                 appended += 1
                 v = Command(op, rid, r.next_seq - 1)
@@ -182,11 +181,16 @@ def test_incremental_history_matches_from_scratch(recon, spec):
             msg = inbox[rid].pop(rng.randrange(len(inbox[rid])))
             r.on_deliver(msg)
         assert r.history == recon(r.dag)
+        # the kept data-type states describe the current history
+        k, state = r._kept[-1]
+        assert state == replay(spec, r.history[:k])[0]
         if rng.random() < 0.1:
             held.append((r.history, list(r.history)))
     for r in reps.values():
         assert r.pending == {}
-        assert len(r.history) > 2 * replica_mod._STRIDE
+        assert len(r.history) > 32
+        for k, state in r._kept:
+            assert state == replay(spec, r.history[:k])[0]
     for hist, contents in held:
         assert hist == contents
 
