@@ -434,7 +434,7 @@ def check_safety(trace):
             if uid not in issued:
                 problems["rb_integrity"].append(
                     "%r delivered but never broadcast" % (uid,))
-    for rid in [r for r in range(1, d.n + 1) if r not in d.crashed]:
+    for rid in d.correct:
         for _, uid in d.appends.get(rid, []):
             if uid not in d.inserted.get(rid, ()):
                 problems["rb_validity"].append(

@@ -89,7 +89,7 @@ class CommandDag:
         return self._chains
 
     def past_masks(self):
-        """Command -> its past_mask (live; do not mutate)."""
+        """Command -> the bitmask of its past, itself included (live)."""
         return self._past
 
     def parents_of(self, v):
@@ -133,20 +133,13 @@ class CommandDag:
             chain.append(v)
 
     def leaves(self):
-        """Vertices with no outgoing edge; {EPSILON} on the empty DAG."""
+        """Vertices with no outgoing edge, a frozenset; {EPSILON} if empty."""
         if not self._order:
-            return {EPSILON}
-        return set(self._childless)
+            return frozenset({EPSILON})
+        return frozenset(self._childless)
 
     def dist(self, v) -> int:
         return 0 if v is EPSILON else level_key(self, v)[0]
-
-    def past_mask(self, v) -> int:
-        """Bitmask of past(v) over insertion indices, including v itself."""
-        try:
-            return self._past[v]
-        except KeyError:
-            raise UnknownVertex(repr(v)) from None
 
     def all_mask(self) -> int:
         return (1 << len(self._order)) - 1
@@ -161,7 +154,10 @@ class CommandDag:
 
     def past(self, v):
         """v plus every vertex with a path to v; EPSILON is excluded."""
-        return set(self.expand_mask(self.past_mask(v)))
+        try:
+            return set(self.expand_mask(self._past[v]))
+        except KeyError:
+            raise UnknownVertex(repr(v)) from None
 
 
 def level_key(dag: CommandDag, c):

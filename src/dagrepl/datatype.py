@@ -112,6 +112,9 @@ class _Log:
     def __eq__(self, other):
         return isinstance(other, (tuple, _Log)) and tuple(self) == tuple(other)
 
+    def __repr__(self):
+        return "_Log(%s)" % ", ".join(map(repr, self))
+
 
 def _intlog_step(state, op):
     if op[0] == "push":

@@ -179,7 +179,7 @@ class _LeaderScan:
         # rr, the issuer pointer in v's issuer's first miss round, points
         # at that issuer
         rnd, count, rr, ptr, misses = start
-        if count and self.leaders[count - 1] & ~dag.past_mask(v):
+        if count and self.leaders[count - 1] & ~dag.past_masks()[v]:
             return None
         del self.leaders[count:]
         self._saved = {j: s for j, s in self._saved.items() if s[0] < rnd}

@@ -77,7 +77,7 @@ class Replica:
         v = Command(op, self.id, self.next_seq)
         self.next_seq += 1
         self._insert(v, parents)
-        self._broadcast(BroadcastMessage(v, frozenset(parents)))
+        self._broadcast(BroadcastMessage(v, parents))
         # under bfs and fair a vertex below every leaf is last; lifo puts
         # it first
         h = self.history

@@ -151,8 +151,6 @@ def _is_int(x):
 # One encoder for every line: compact JSON with sorted keys, so a trace
 # file is deterministic bytes.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_scan = json.JSONDecoder().scan_once
-_JSON_SPACE = " \t\n\r"
 
 
 def _read_jsonl(path):
@@ -161,9 +159,7 @@ def _read_jsonl(path):
     It accepts and rejects exactly the lines that per-line `json.loads`
     does: a line is one JSON value with optional JSON whitespace around it.
     Template lines are parsed in runs (`_parse_lines`), so that their
-    events share their key strings.  The C scanner parses every other line;
-    `json.loads` runs only on a line the scanner rejected, for its error
-    message.
+    events share their key strings; `json.loads` parses every other line.
     """
     values, run, slots = [], [], []     # slots: where run's values go
     template_line = _template_line()
@@ -184,17 +180,14 @@ def _read_jsonl(path):
                     if len(run) == _RUN:
                         parse_run()
                     continue
-                text = line.strip(_JSON_SPACE)
+                if not line.strip():
+                    continue
                 try:
-                    value, end = _scan(text, 0)
+                    values.append(json.loads(line))
                 # a ValueError also stands for an int past the digit limit
-                except (StopIteration, ValueError, RecursionError):
-                    end = None
-                if end == len(text):
-                    values.append(value)
-                elif line.strip():
+                except (ValueError, RecursionError) as exc:
                     raise ConfigError("%s: line %d is not JSON (%s)"
-                                      % (path, number, _json_error(line)))
+                                      % (path, number, exc)) from None
         except UnicodeDecodeError as exc:
             raise ConfigError("%s is not UTF-8 text (%s)"
                               % (path, exc)) from None
@@ -209,14 +202,6 @@ def _parse_lines(lines):
     for at in range(0, len(lines), _RUN):
         values += json.loads("[%s]" % ",".join(lines[at:at + _RUN]))
     return values
-
-
-def _json_error(line):
-    """Why per-line `json.loads` rejects `line`."""
-    try:
-        json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        return exc
 
 
 # A line of the simulator's form of a send, deliver, insert or history
@@ -441,9 +426,8 @@ class _Sim:
                 rid, self.spec, self.recon,
                 broadcast=self._make_broadcast(rid),
                 on_insert=self._make_on_insert(rid))
-        # vertex -> (parents, their `_INSERT` text) of its last formatted
-        # insert; the text is reused only for equal parents, so that each
-        # insert line shows the parents its replica inserted
+        # parent set -> its `_INSERT` text; the replicas insert a vertex
+        # with the one set its message carries, so a text is formatted once
         self.parents_text = {}
 
     def _make_broadcast(self, rid):
@@ -451,14 +435,11 @@ class _Sim:
 
     def _make_on_insert(self, rid):
         def hook(v, parents):
-            cached = self.parents_text.get(v)
-            if cached is not None and (parents is cached[0]
-                                       or parents == cached[0]):
-                text = cached[1]
-            else:
-                text = _pairs(sorted([(p.issuer, p.seq) for p in parents
-                                      if isinstance(p, Command)]))
-                self.parents_text[v] = (parents, text)
+            text = self.parents_text.get(parents)
+            if text is None:
+                text = self.parents_text[parents] = _pairs(sorted(
+                    [(p.issuer, p.seq) for p in parents
+                     if isinstance(p, Command)]))
             self.step += 1
             self.lines.append(_INSERT % (text, rid, self.step, v.issuer,
                                          v.seq))

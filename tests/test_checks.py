@@ -1,17 +1,17 @@
 import copy
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
 from dagrepl import reconcile
-from dagrepl.checks import _batches_verified, check_convergence, \
-    check_safety, check_stability, fairness_report, run_all_checks, \
-    stable_prefix
+from dagrepl.checks import StabilityReport, _batches_verified, \
+    check_convergence, check_safety, check_stability, fairness_report, \
+    run_all_checks, stable_prefix
 from dagrepl.dag import Command, CommandDag, EPSILON
 from dagrepl.reconcile import _LeaderScan, f_bfs, f_fair, f_lifo, \
     fair_leaders
-from dagrepl.sim import ConfigError, Trace, full_histories, run
+from dagrepl.sim import ConfigError, Scenario, Trace, full_histories, run
 from dagrepl.scenarios import STARVATION_VICTIM, continuous_scenario, \
     fig1_scenario, random_scenario, starvation_scenario
 
@@ -717,3 +717,74 @@ def test_malformed_meta_of_an_in_memory_trace_is_named(edit, field):
     edit(meta)
     with pytest.raises(ConfigError, match="meta .*%s" % field):
         run_all_checks(Trace(meta, trace.events))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fairness_counts_appends_after_the_window_opens_as_late(seed):
+    # A simulator trace ends on a forced snapshot of every correct replica,
+    # after its last append; without replica 1's snapshots after its middle
+    # one, the tail window opens before many appends.
+    trace = run(continuous_scenario(seed, "bfs", commands=60))
+    own = [ev for ev in trace.events
+           if ev["kind"] == "history" and ev["replica"] == 1]
+    dropped = {id(ev) for ev in own[len(own) // 2 + 1:]}
+    trace = Trace(trace.meta,
+                  [ev for ev in trace.events if id(ev) not in dropped])
+    report = stable_prefix(trace)
+    stable = set(report.stable_history)
+    late, early = [], []
+    for ev in trace.events:
+        if ev["kind"] == "append" and ev["replica"] in report.correct:
+            uid = (ev["replica"], ev["seq"])
+            if uid not in stable:
+                (late if ev["t"] >= report.t_stable_start
+                 else early).append(uid)
+    verdict = fairness_report(trace, report)
+    missing = verdict["missing_from_stable"]
+    assert len(late) >= 21
+    assert not set(late) & set(missing)
+    assert verdict["indeterminate"] == len(late) + len(early) - len(missing)
+
+
+def test_no_correct_replica_gives_the_empty_report():
+    sc = Scenario(n=2, datatype="intlog", recon="bfs",
+                  workload=[(5, 1, ("push", 1)), (6, 2, ("push", 2))],
+                  crashes=[(1, 0), (2, 0)])
+    trace = run(sc)
+    assert [ev["kind"] for ev in trace.events] == ["crash", "crash"]
+    assert stable_prefix(trace) == StabilityReport(
+        [], 0, (), {}, set(), {}, True, 0, [])
+    verdicts = run_all_checks(trace)
+    assert verdicts["ok"]
+    assert all(v["ok"] and not v["problems"]
+               for v in verdicts["safety"].values() if isinstance(v, dict))
+    assert verdicts["stability"]["final_len"] == 0
+    assert verdicts["fairness"]["indeterminate"] == 0
+    assert verdicts["fairness"]["starvation"] == {}
+    assert verdicts["convergence"]["distinct_final_histories"] == 0
+
+
+def _revocation_sweep():
+    for recon in ("bfs", "fair", "lifo"):
+        for seed in range(4):
+            yield "random:%s:%d" % (recon, seed), random_scenario(seed, recon)
+            yield ("continuous:%s:%d" % (recon, seed),
+                   continuous_scenario(seed, recon))
+    for recon in ("bfs", "fair"):
+        yield "starvation:%s" % recon, starvation_scenario(recon)
+
+
+@pytest.mark.parametrize("sc", [pytest.param(sc, id=name)
+                                for name, sc in _revocation_sweep()])
+def test_revocations_match_a_naive_count(sc):
+    # every command of a correct replica's history past its common prefix
+    # with the replica's next history is one revocation
+    trace = run(sc)
+    correct = set(range(1, sc.n + 1)) - set(trace.meta["crashed"])
+    naive, previous = Counter(), {}
+    for ev, h in full_histories(trace.events):
+        old = previous.get(ev["replica"], [])
+        if ev["replica"] in correct:
+            naive.update(tuple(uid) for uid in old[lcp(old, h):])
+        previous[ev["replica"]] = h
+    assert stable_prefix(trace).revocations == dict(naive)

@@ -512,3 +512,11 @@ def test_internal_key_error_propagates(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_all_checks", broken)
     with pytest.raises(KeyError):
         main(["check", "--trace", str(path)])
+
+
+def test_fuzz_reports_failing_seeds(capsys):
+    rc = main(["fuzz", "--scenario", "starvation", "--seeds", "2"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.splitlines() == ["seed 0 FAIL: fairness",
+                                "seed 1 FAIL: fairness", "0/2 seeds passed"]

@@ -155,3 +155,8 @@ def test_registry():
         assert "bogus" in str(exc)
     else:
         raise AssertionError("expected KeyError")
+
+
+def test_intlog_state_repr_names_its_values():
+    state = replay(INTLOG, [("push", 0), ("push", 1), ("push", 2)])[0]
+    assert repr(state) == "_Log(0, 1, 2)"

@@ -256,3 +256,25 @@ def test_session_matches_recon_on_shuffled_deliveries(recon, monkeypatch):
             parked += msg.vertex not in r.dag
         assert len(r.dag) == len(dag) and r.pending == {}
     assert parked > 300 and late_issuers > 50
+
+
+def test_every_copy_of_a_vertex_holds_one_parent_set():
+    sent = []
+    r1 = Replica(1, INTLOG, f_bfs, broadcast=sent.append)
+    r2 = Replica(2, INTLOG, f_bfs)
+    for k in range(3):
+        r1.append(("push", k))
+        msg = sent[-1]
+        r2.on_deliver(msg)
+        v = msg.vertex
+        assert r2.dag.parents_of(v) is r1.dag.parents_of(v) is msg.parents
+
+
+def test_replay_below_the_top_kept_state_pops_it():
+    r = Replica(1, INTLOG, f_fair)
+    for k in range(6):
+        r.append(("push", k))
+    assert r._kept[-1][0] > 2
+    state, _ = r._replay_to(2)
+    assert state == replay(INTLOG, r.history[:2])[0]
+    assert r._kept[-1][0] == 2

@@ -583,3 +583,21 @@ def test_insert_lines_show_each_replicas_own_parents():
              and ev["vertex"] == [v.issuer, v.seq]}
     assert shown[rid] == min(shown.values()) < max(shown.values())
     assert not check_safety(trace)["past_immutability"]["ok"]
+
+
+def test_scripted_deliveries_without_a_flush_leave_sends_undelivered(
+        tmp_path):
+    # fig1's script times some deliveries; without a flush the others are
+    # never scheduled, and the run is not quiescent
+    sc = fig1_scenario("bfs")
+    sc.quiescence_flush = False
+    trace = run(sc)
+    path = tmp_path / "t.jsonl"
+    trace.to_jsonl(path)
+    undelivered = [ev for ev in trace.events
+                   if ev["kind"] == "send" and ev["deliver_at"] is None]
+    assert len(undelivered) == 16
+    verdicts = run_all_checks(trace)
+    assert "convergence" not in verdicts
+    assert verdicts["ok"]
+    assert run_all_checks(Trace.from_jsonl(path)) == verdicts
