@@ -92,7 +92,8 @@ class _Digest:
     by an event, so that a hostile n cannot size the checkers' work, and
     resolves the meta's reconciler name, raising ConfigError for an
     unknown one.  It keeps each replica's current history as a list and a
-    uid set, and records per snapshot the facts that need the set.
+    uid set, records per snapshot the facts that need the set, and per
+    replica the revocation and delivery counts and first insert steps.
     """
 
     def __init__(self, trace):
@@ -113,8 +114,9 @@ class _Digest:
         self.crashed = set(meta["crashed"])
         self.appends = defaultdict(list)    # rid -> [(t, uid)]
         self.snapshots = defaultdict(list)  # rid -> [_Delta]
-        self.inserted = defaultdict(set)    # rid -> uids inserted there
-        self.delivers = defaultdict(list)   # rid -> [uid]
+        self.inserted = defaultdict(dict)   # rid -> {uid: t of 1st insert}
+        self.delivers = defaultdict(Counter)    # rid -> uid -> deliveries
+        self.revoked = defaultdict(Counter)     # rid -> uid -> revocations
         self.sends = Counter()              # uid -> channel send count
         # rid -> its own appends missing from its next snapshot
         self.unseen = defaultdict(list)
@@ -151,6 +153,7 @@ class _Digest:
                 h, seen = histories[rid], members[rid]
                 clean = len(seen) == len(h)
                 revoked = _apply(h, *value)
+                self.revoked[rid].update(revoked)
                 if clean:
                     seen.difference_update(revoked)
                     seen.update(value[1])
@@ -166,9 +169,9 @@ class _Digest:
                                      if uid not in seen]
             elif kind == "insert":
                 self.ordered.append((t, 0, rid) + value)
-                self.inserted[rid].add(value[0])
+                self.inserted[rid].setdefault(value[0], t)
             elif kind == "deliver":
-                self.delivers[rid].append(value)
+                self.delivers[rid][value] += 1
         for rid, uids in awaiting.items():
             self.unseen[rid] += uids
         # Every correct replica has events, so n is at most the replicas
@@ -285,20 +288,21 @@ def stable_prefix(trace) -> StabilityReport:
     # An own command keeps its basis when the issuer's history up to it, at
     # its first snapshot there, is the stable history up to it; `lcp`
     # tracks the issuer's common prefix with the stable history per delta.
+    # A walk that stopped below `keep` still stops there, as nothing below
+    # `keep` changed; else it resumes at `keep`, over the added commands.
     pos = {uid: i for i, uid in enumerate(stable_history)}
     revocations = Counter()
     retained = set()
     for rid in d.correct:
-        h = []
+        revocations.update(d.revoked.get(rid, ()))
         seen = set()
         lcp = 0
-        for delta in d.snapshots.get(rid, []):
-            revocations.update(_apply(h, delta.keep, delta.add))
-            lcp = min(lcp, delta.keep)
-            end = min(len(h), len(stable_history))
-            while lcp < end and h[lcp] == stable_history[lcp]:
+        for _, keep, add, _, _ in d.snapshots.get(rid, []):
+            lcp = min(lcp, keep)
+            end = min(keep + len(add), len(stable_history))
+            while keep <= lcp < end and add[lcp - keep] == stable_history[lcp]:
                 lcp += 1
-            for i, uid in enumerate(delta.add, delta.keep):
+            for i, uid in enumerate(add, keep):
                 if uid[0] == rid and uid not in seen:
                     seen.add(uid)
                     if pos.get(uid) == i <= lcp:
@@ -323,6 +327,7 @@ def fairness_report(trace, report: StabilityReport, window: int = 10):
     d = _digest(trace)
     stable = report.stable_history
     stable_set = set(stable)
+    start = report.t_stable_start
 
     late = 0
     unstable = []
@@ -330,22 +335,12 @@ def fairness_report(trace, report: StabilityReport, window: int = 10):
         for t, uid in d.appends.get(rid, []):
             if uid in stable_set:
                 continue
-            if t >= report.t_stable_start:
+            if t >= start:
                 late += 1
             else:
                 unstable.append(uid)
-    # Only an early command missing from the stable prefix needs the
-    # insert times, so the common path reads none.
-    reached = {uid: set() for uid in unstable}
-    if reached:
-        correct = set(d.correct)
-        for t, tag, rid, uid, _ in d.ordered:
-            if t >= report.t_stable_start:
-                break
-            if tag == 0 and uid in reached and rid in correct:
-                reached[uid].add(rid)
-    missing = [uid for uid in unstable
-               if len(reached[uid]) == len(d.correct)]
+    missing = [uid for uid in unstable if all(
+        d.inserted.get(rid, {}).get(uid, start) < start for rid in d.correct)]
     indeterminate = late + len(unstable) - len(missing)
 
     starvation = {}
@@ -426,8 +421,7 @@ def check_safety(trace):
 
     # Reliable broadcast properties.
     for rid in range(1, d.n + 1):
-        seen = Counter(d.delivers.get(rid, []))
-        for uid, cnt in seen.items():
+        for uid, cnt in d.delivers.get(rid, {}).items():
             if cnt > 1:
                 problems["rb_integrity"].append(
                     "%r delivered %d times at %d" % (uid, cnt, rid))
@@ -440,10 +434,10 @@ def check_safety(trace):
                 problems["rb_validity"].append(
                     "correct sender %d missing own %r" % (rid, uid))
     if d.quiescent:
-        known = {rid: d.inserted.get(rid, set()) for rid in d.correct}
-        union = set().union(*known.values()) if known else set()
+        known = {rid: d.inserted.get(rid, {}) for rid in d.correct}
+        union = set().union(*known.values())
         for rid, k in known.items():
-            for uid in union - k:
+            for uid in union.difference(k):
                 problems["rb_totality"].append(
                     "correct replica %d never got %r" % (rid, uid))
     for uid, cnt in d.sends.items():

@@ -342,6 +342,11 @@ def _validate(sc: Scenario):
         value = getattr(sc, name)
         _need(_is_int(value) and value >= least,
               "%s must be an integer >= %d" % (name, least), value)
+    _need(isinstance(sc.workload, (list, tuple)), "workload must be a list",
+          sc.workload)
+    for entry in sc.workload:
+        _need(isinstance(entry, (tuple, list)) and len(entry) == 3,
+              "a workload entry must have 3 items", entry)
     sends = sc.n * (sc.n - 1) * max(1, len(sc.workload))
     if sends > _SEND_BUDGET:
         raise ConfigError("n = %d and a workload of %d make up to %d "
@@ -370,16 +375,19 @@ def _validate(sc: Scenario):
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError("workload op %r fails on %s (%s)"
                               % (op, spec.name, exc)) from None
-    for r, t in sc.crashes:
-        _need(replica(r) and _is_int(t), "a crash must be a replica in "
-              "1..%d and an integer time" % sc.n, [r, t])
+    for c in sc.crashes:
+        _need(isinstance(c, (tuple, list)) and len(c) == 2 and replica(c[0])
+              and _is_int(c[1]), "a crash must be [replica, integer time]", c)
     for p in sc.partitions:
+        _need(isinstance(p, Partition), "a partition must be a Partition", p)
         for link in p.links:
             _need(isinstance(link, (tuple, list)) and len(link) == 2
                   and all(map(replica, link)), "a partition link must be "
                   "a pair of replicas in 1..%d" % sc.n, link)
         _need(_is_int(p.start) and _is_int(p.end) and p.start < p.end,
               "a partition needs integers start < end", [p.start, p.end])
+    _need(sc.deliveries is None or isinstance(sc.deliveries, dict),
+          "deliveries must be a dict or None", sc.deliveries)
     for key, t in (sc.deliveries or {}).items():
         _need(isinstance(key, tuple) and len(key) == 3
               and all(map(_is_int, (*key, t))),

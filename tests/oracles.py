@@ -129,11 +129,12 @@ def trace_snapshots(events):
             yield ev, h, dags.setdefault(rid, CommandDag())
 
 
-def naive_starvation(events, stable, correct, window):
-    """The starvation verdicts of `fairness_report` for the stable history
-    `stable`, from tuple copies: each own command's basis is a copy of its
-    issuer's history before it, at the first snapshot there that holds it,
-    and it is retained when it equals the stable history before it."""
+def naive_retained(events, stable, correct):
+    """The own commands of the replicas in `correct` retained for the
+    stable history `stable`, from tuple copies: each own command's basis is
+    a copy of its issuer's history before it, at the first snapshot there
+    that holds it, and it is retained when it equals the stable history
+    before it."""
     histories, basis = {}, {}
     for ev in events:
         if ev["kind"] != "history" or ev["replica"] not in correct:
@@ -145,12 +146,21 @@ def naive_starvation(events, stable, correct, window):
             if uid[0] == rid and uid not in basis:
                 basis[uid] = tuple(h[:i])
     pos = {uid: i for i, uid in enumerate(stable)}
+    return {uid for uid, b in basis.items()
+            if uid in pos and b == tuple(stable[:pos[uid]])}
+
+
+def naive_starvation(events, stable, correct, window):
+    """The starvation verdicts of `fairness_report` for the stable history
+    `stable`: a replica passes when one of its last `window` commands in
+    `stable` is retained (`naive_retained`)."""
+    retained = naive_retained(events, stable, correct)
     verdicts = {}
     for rid in correct:
         tail = [uid for uid in stable if uid[0] == rid][-window:]
         if len(tail) < window:
             verdicts[rid] = "indeterminate"
-        elif any(basis.get(uid) == tuple(stable[:pos[uid]]) for uid in tail):
+        elif retained.intersection(tail):
             verdicts[rid] = "pass"
         else:
             verdicts[rid] = "fail"

@@ -15,8 +15,8 @@ from dagrepl.sim import ConfigError, Scenario, Trace, full_histories, run
 from dagrepl.scenarios import STARVATION_VICTIM, continuous_scenario, \
     fig1_scenario, random_scenario, starvation_scenario
 
-from oracles import lcp, naive_starvation, random_out_of_order_dag, \
-    random_protocol_dag, trace_snapshots
+from oracles import lcp, naive_retained, naive_starvation, \
+    random_out_of_order_dag, random_protocol_dag, trace_snapshots
 
 
 def _mutated(trace, fn):
@@ -110,7 +110,7 @@ def test_starvation_indeterminate_on_tiny_run():
     assert set(verdict["starvation"].values()) == {"indeterminate"}
 
 
-@pytest.mark.parametrize("recon", ["bfs", "fair"])
+@pytest.mark.parametrize("recon", ["bfs", "fair", "lifo"])
 def test_fairness_counts_commands_in_flight_as_indeterminate(recon):
     # Without a final flush, a command that some correct replica had not
     # inserted when the tail window opened cannot have stabilized: it is
@@ -788,3 +788,15 @@ def test_revocations_match_a_naive_count(sc):
             naive.update(tuple(uid) for uid in old[lcp(old, h):])
         previous[ev["replica"]] = h
     assert stable_prefix(trace).revocations == dict(naive)
+
+
+@pytest.mark.parametrize("sc", [pytest.param(sc, id=name)
+                                for name, sc in _revocation_sweep()])
+def test_retained_matches_naive_bases(sc):
+    # an own command is retained iff its basis, its issuer's history
+    # before it at the first snapshot there that holds it, is the stable
+    # history before it
+    trace = run(sc)
+    report = stable_prefix(trace)
+    assert report.retained == naive_retained(
+        trace.events, report.stable_history, set(report.correct))

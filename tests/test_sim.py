@@ -148,6 +148,30 @@ def test_config_errors():
                      workload=[(1, 1, ("push", object()))]))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("workload", [(1, 1, ("push", 1)), (1, 1)],
+     "a workload entry must have 3 items, not (1, 1)"),
+    ("crashes", [(2, 5), (1, 2, 3)],
+     "a crash must be [replica, integer time], not (1, 2, 3)"),
+    ("partitions", [{"links": [(1, 2)], "start": 1, "end": 5}],
+     "a partition must be a Partition, not {'links': [(1, 2)], "
+     "'start': 1, 'end': 5}"),
+    ("deliveries", [(1, 1, 1, 5)],
+     "deliveries must be a dict or None, not [(1, 1, 1, 5)]"),
+    ("workload", 5, "workload must be a list, not 5"),
+])
+def test_malformed_in_memory_scenario_is_a_config_error(field, value,
+                                                        message):
+    # the shapes `run` unpacks; the error names the field and its first
+    # bad entry, not the whole list
+    sc = Scenario(n=2, datatype="intlog", recon="bfs",
+                  workload=[(1, 1, ("push", 1))])
+    setattr(sc, field, value)
+    with pytest.raises(ConfigError) as info:
+        run(sc)
+    assert str(info.value) == message
+
+
 def test_send_budget_bounds_replicas_and_commands():
     # n(n-1) channel sends per command; `_Sim` validates before it builds
     one = [(1, 1, ("push", 1))]
