@@ -5,7 +5,7 @@ from a trace file), or the one-pass digest of it that `run_all_checks`
 shares between them, and return verdict objects; they never mutate the
 trace.  Histories and vertices are identified by (issuer, seq) pairs.
 
-A snapshot is a delta against the replica's previous snapshot (trace
+A snapshot is a delta against the replica's previous snapshot (since trace
 schema 2), and the checkers work in proportion to the deltas, not to the
 histories: validity, repeats, monotonicity and wait-freedom look at the
 added and the revoked commands only, and the stable-prefix curve is a

@@ -108,18 +108,18 @@ def random_scenario(seed: int, recon: str = "bfs",
 
 
 def continuous_scenario(seed: int, recon: str = "bfs",
-                        commands: int = 300) -> Scenario:
-    """Continuous input at 3 intlog replicas: no quiescence, messages in
-    flight at the horizon stay undelivered.  Used for the growing-stable-
-    prefix checks."""
+                        commands: int = 300, n: int = 3) -> Scenario:
+    """Continuous input at n (by default 3) intlog replicas: no quiescence,
+    messages in flight at the horizon stay undelivered.  Used for the
+    growing-stable-prefix checks."""
     rng = random.Random("continuous-%d" % seed)
     workload = []
     t = 0
     for k in range(commands):
         t += rng.randint(1, 3)
-        rid = rng.randint(1, 3)
+        rid = rng.randint(1, n)
         workload.append((t, rid, ("push", k)))
-    return Scenario(n=3, datatype="intlog", recon=recon, workload=workload,
+    return Scenario(n=n, datatype="intlog", recon=recon, workload=workload,
                     seed=seed, delay_max=8, quiescence_flush=False,
                     snapshot_every=5, name="continuous")
 

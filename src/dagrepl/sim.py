@@ -7,20 +7,23 @@ discrete-event loop and returns a Trace: a totally ordered event log with
 per-replica history snapshots, consumed by the checkers in
 `dagrepl.checks`.
 
-A snapshot is a delta (trace schema 2): `keep` is the exact length of the
+A snapshot is a delta (since trace schema 2): `keep` is the exact length of the
 longest common prefix with the replica's previous snapshot in the trace,
 and `add` the commands after it, so a snapshot costs the change, not the
 history.  `keep` below the previous length is a revocation.
 `full_histories` decodes the deltas back into full histories.  A trace
 file holds one compact, sorted-key JSON value per line, which the
-simulator writes as each event happens: a send, deliver, insert, history,
+simulator writes as each event happens: a sends, deliver, insert, history,
 append or append_bottom line from a format with the encoder's bytes (an
 append's op text is encoded once, with its workload entry), a crash or
-partition line by the encoder.  The trace `run` returns is those lines,
-and its events are parsed from them on first read.  Reading takes any
-spacing that per-line `json.loads` takes; the lines in the simulator's
-int-only form are parsed many to one call, so that their events share
-their key strings.
+partition line by the encoder.  A `sends` line (schema 3) is one fan-out
+of the broadcast layer: its n-1 channel sends as `[dst, deliver_at]`
+pairs in the order their delays are drawn, at the steps t, t+1, ...; the
+reader expands it into one `send` event per pair, so a trace's events are
+those of schema 2.  The trace `run` returns is those lines, and its events
+are parsed from them on first read.  Reading takes any spacing that
+per-line `json.loads` takes; the lines in the simulator's int-only form
+are parsed many to one call, so that their events share their key strings.
 
 Timing model: channel delays are drawn from the seeded RNG as
 `randint(1, delay_max)` draws them (or pinned by an explicit per-message
@@ -141,7 +144,7 @@ _FROM_JSON = {
 }
 
 
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
 
 
 def _is_int(x):
@@ -154,40 +157,43 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _read_jsonl(path):
-    """The JSON values of the non-blank lines of `path`, in order.
+    """The events of the non-blank lines of `path`, in order: each line's
+    JSON value, but a `sends` value's `send` events in its place.
 
     It accepts and rejects exactly the lines that per-line `json.loads`
     does: a line is one JSON value with optional JSON whitespace around it.
-    Template lines are parsed in runs (`_parse_lines`), so that their
-    events share their key strings; `json.loads` parses every other line.
+    A malformed `sends` line (`_checked_sends`) is refused, naming it.
+    Template lines are parsed in runs, so that their events share their key
+    strings; `json.loads` parses every other line.
     """
-    values, run, slots = [], [], []     # slots: where run's values go
+    # run: the template lines since the last parse; others: the events of
+    # each other line since then, after the first `at` lines of run
+    values, run, others = [], [], []
     template_line = _template_line()
 
     def parse_run():
-        for at, value in zip(slots, _parse_lines(run)):
-            values[at] = value
+        parsed = json.loads("[%s]" % ",".join(run))
+        start = 0
+        for at, events in others:
+            _expand_into(values, parsed[start:at])
+            values.extend(events)
+            start = at
+        _expand_into(values, parsed[start:])
         run.clear()
-        slots.clear()
+        others.clear()
 
     with open(path, encoding="utf-8") as fh:
         try:
             for number, line in enumerate(fh, 1):
                 if template_line(line):
-                    slots.append(len(values))
-                    values.append(None)
                     run.append(line)
-                    if len(run) == _RUN:
-                        parse_run()
+                elif line.strip():
+                    others.append((len(run), _line_events(path, number,
+                                                          line)))
+                else:
                     continue
-                if not line.strip():
-                    continue
-                try:
-                    values.append(json.loads(line))
-                # a ValueError also stands for an int past the digit limit
-                except (ValueError, RecursionError) as exc:
-                    raise ConfigError("%s: line %d is not JSON (%s)"
-                                      % (path, number, exc)) from None
+                if len(run) + len(others) == _RUN:
+                    parse_run()
         except UnicodeDecodeError as exc:
             raise ConfigError("%s is not UTF-8 text (%s)"
                               % (path, exc)) from None
@@ -195,17 +201,77 @@ def _read_jsonl(path):
     return values
 
 
+def _line_events(path, number, line):
+    """The events of line `number` of `path`, a line outside the template:
+    its JSON value, or a `sends` value's `send` events."""
+    try:
+        value = json.loads(line)
+    # a ValueError also stands for an int past the digit limit
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError("%s: line %d is not JSON (%s)"
+                          % (path, number, exc)) from None
+    if type(value) is not dict or value.get("kind") != "sends":
+        return (value,)
+    try:
+        return _checked_sends(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("%s: line %d is a malformed sends line: %s %s"
+                          % (path, number, type(exc).__name__, exc)) from None
+
+
 def _parse_lines(lines):
-    """The values of `lines` of one JSON value each, `_RUN` lines to one
-    call, so that their objects share their key strings."""
-    values = []
+    """The events of `lines`, simulator lines of one JSON value each:
+    `_RUN` lines to one call, so that their objects share their key
+    strings, with each `sends` value's `send` events in its place."""
+    events = []
     for at in range(0, len(lines), _RUN):
-        values += json.loads("[%s]" % ",".join(lines[at:at + _RUN]))
-    return values
+        _expand_into(events,
+                     json.loads("[%s]" % ",".join(lines[at:at + _RUN])))
+    return events
 
 
-# A line of the simulator's form of a send, deliver, insert or history
-# event (`_SEND`, ...), with canonical ints of at most 18 digits, none
+def _expand_into(events, values):
+    """Append `values`, events of the simulator's form, to `events`, each
+    `sends` value as its `send` events, and each with one string per kind,
+    not one per event."""
+    for value in values:
+        kind = value["kind"] = sys.intern(value["kind"])
+        if kind == "sends":
+            events += _sends(value)
+        else:
+            events.append(value)
+
+
+def _sends(ev):
+    """The `send` events of a well-formed `sends` event: the channel send
+    of its i-th [dst, deliver_at] pair at step t + i.  They share the
+    event's uid list."""
+    at, src, t, uid = ev["at"], ev["src"], ev["t"], ev["uid"]
+    return [{"at": at, "deliver_at": deliver_at, "dst": dst, "kind": "send",
+             "src": src, "t": t + i, "uid": uid}
+            for i, (dst, deliver_at) in enumerate(ev["to"])]
+
+
+def _checked_sends(ev):
+    """`_sends(ev)` of any `sends` value: KeyError for a missing field,
+    TypeError or ValueError for a `t` that is not an integer, a `to` that
+    is not a list of one or more [dst, deliver_at] lists, or a `uid` that
+    is not a 2-item list.  The simulator never writes an empty `to`: a
+    fan-out to no replica is no line, and a line takes one step per pair."""
+    t, to, uid = ev["t"], ev["to"], ev["uid"]
+    if type(t) is not int:
+        raise TypeError("t %r is not an integer" % (t,))
+    if type(to) is not list or not to \
+            or any(type(pair) is not list or len(pair) != 2 for pair in to):
+        raise ValueError("to %r is not a list of one or more "
+                         "[dst, deliver_at] pairs" % (to,))
+    if type(uid) is not list or len(uid) != 2:
+        raise ValueError("uid %r is not a pair" % (uid,))
+    return _sends(ev)
+
+
+# A line of the simulator's form of a sends, deliver, insert or history
+# event (`_SENDS`, ...), with canonical ints of at most 18 digits, none
 # negative: the simulator writes none.  It is exactly one JSON value, so a
 # run of such lines joined by commas is one JSON array; the digit bound
 # keeps that parse below the int digit limit.  The pattern is compiled in
@@ -216,14 +282,19 @@ def _parse_lines(lines):
 _INT = r"(?!0\d)\d{1,18}"
 _PAIR = r"\[%s,%s\]" % (_INT, _INT)
 _PAIRS = r"\[(?:%s(?:,%s)*)?\]" % (_PAIR, _PAIR)
+# a sends line's `to`: one or more [dst, deliver_at or null] pairs
+_TO_PAIR = r"\[%s,(?:%s|null)\]" % (_INT, _INT)
+_TO = r"\[%s(?:,%s)*\]" % (_TO_PAIR, _TO_PAIR)
 
 
 @cache
 def _template_line():
     """The `fullmatch` of such a line, compiled on first use."""
-    formats = (_SEND, _SEND_UNDELIVERED, _DELIVER, _INSERT, _HISTORY)
+    formats = (_SENDS, _DELIVER, _INSERT, _HISTORY)
     return re.compile("(?:%s)\n?" % "|".join(
-        re.escape(f.rstrip("\n")).replace(re.escape("[%s]"), _PAIRS)
+        re.escape(f.rstrip("\n"))
+        .replace(re.escape('"to":[%s]'), '"to":' + _TO)
+        .replace(re.escape("[%s]"), _PAIRS)
         .replace("%d", _INT) for f in formats), re.ASCII).fullmatch
 
 
@@ -232,14 +303,13 @@ def _template_line():
 _RUN = 1024
 
 
-# The lines of the simulator's send, deliver, insert, history and append
+# The lines of the simulator's sends, deliver, insert, history and append
 # events, all but a handful of a trace: `_encode`'s bytes for the values the
-# simulator owns.  `_INSERT`'s parents and `_HISTORY`'s add are filled with
-# `_pairs`, `_APPEND`'s and `_APPEND_BOTTOM`'s op and resp with `_encode`.
-_SEND = ('{"at":%d,"deliver_at":%d,"dst":%d,"kind":"send","src":%d,"t":%d,'
-         '"uid":[%d,%d]}\n')
-_SEND_UNDELIVERED = ('{"at":%d,"deliver_at":null,"dst":%d,"kind":"send",'
-                     '"src":%d,"t":%d,"uid":[%d,%d]}\n')
+# simulator owns.  `_SENDS`'s to is filled with "[dst,deliver_at]" items,
+# `_INSERT`'s parents and `_HISTORY`'s add with `_pairs`, `_APPEND`'s and
+# `_APPEND_BOTTOM`'s op and resp with `_encode`.
+_SENDS = ('{"at":%d,"kind":"sends","src":%d,"t":%d,"to":[%s],'
+          '"uid":[%d,%d]}\n')
 _DELIVER = '{"kind":"deliver","replica":%d,"t":%d,"uid":[%d,%d]}\n'
 _INSERT = ('{"kind":"insert","parents":[%s],"replica":%d,"t":%d,'
            '"vertex":[%d,%d]}\n')
@@ -274,8 +344,6 @@ class Trace:
     def events(self):
         if self._lines is not None:
             self._events, self._lines = _parse_lines(self._lines), None
-            for ev in self._events:     # one string per kind, not per event
-                ev["kind"] = sys.intern(ev["kind"])
         return self._events
 
     @events.setter
@@ -510,20 +578,27 @@ class _Sim:
             return None
         return at
 
-    def _send(self, src, dst, msg):
-        at = self._deliver_time(src, dst, msg)
-        v = msg.vertex
-        self.step += 1
-        if at is None:
-            self.lines.append(_SEND_UNDELIVERED % (
-                self.now, dst, src, self.step, v.issuer, v.seq))
+    def _send(self, src, dsts, msg):
+        """One fan-out: a channel send to each of `dsts`, a step each, all
+        on one `sends` line."""
+        if not dsts:            # n = 1: no fan-out, no line
             return
-        self.lines.append(_SEND % (self.now, at, dst, src, self.step,
-                                   v.issuer, v.seq))
-        # a vertex dst already holds is in its broadcast layer's seen set,
-        # so the receipt would be dropped untouched: it is not scheduled
-        if v not in self.replicas[dst].dag:
-            self._push(at, self._handle_recv, src, dst, msg)
+        v = msg.vertex
+        to = []
+        for dst in dsts:
+            at = self._deliver_time(src, dst, msg)
+            if at is None:
+                to.append("[%d,null]" % dst)
+                continue
+            to.append("[%d,%d]" % (dst, at))
+            # a vertex dst already holds is in its broadcast layer's seen
+            # set, so the receipt would be dropped untouched: it is not
+            # scheduled
+            if v not in self.replicas[dst].dag:
+                self._push(at, self._handle_recv, src, dst, msg)
+        self.lines.append(_SENDS % (self.now, src, self.step + 1,
+                                    ",".join(to), v.issuer, v.seq))
+        self.step += len(to)
 
     def _rb_deliver(self, rid, msg):
         self.step += 1

@@ -18,9 +18,10 @@ class Net:
             ids, self.send, lambda rid, m: self.delivered.append((rid, m)))
         self.queue = []
 
-    def send(self, src, dst, msg):
-        self.sent.append((src, dst, msg))
-        self.queue.append((dst, msg))
+    def send(self, src, dsts, msg):
+        for dst in dsts:
+            self.sent.append((src, dst, msg))
+            self.queue.append((dst, msg))
 
     def flush(self):
         while self.queue:
@@ -51,7 +52,7 @@ def test_forward_before_deliver():
     order = []
     rb = ReliableBroadcast(
         [1, 2, 3],
-        lambda s, d, m: order.append(("send", s, d)),
+        lambda s, dsts, m: order.extend(("send", s, d) for d in dsts),
         lambda rid, m: order.append(("deliver", rid)))
     rb.r_broadcast(1, make_msg())
     order.clear()

@@ -220,7 +220,7 @@ def _late_first_insert(path):
 
 def _send_without_t(path):
     def edit(events):
-        del _first(events, "send")["t"]
+        del _first(events, "sends")["t"]
     _edit_events(path, edit)
 
 
@@ -232,6 +232,13 @@ def _short_history_element(path):
 
 def _schema_1(path):
     _edit_meta(path, lambda meta: meta.update(schema=1))
+    return "record the trace again"
+
+
+def _schema_2(path):
+    # schema 2 wrote a line per channel send, not one per fan-out
+    _edit_meta(path, lambda meta: meta.update(schema=2))
+    return "record the trace again"
 
 
 def _string_keep(path):
@@ -275,7 +282,7 @@ def _append_without_seq(path):
 
 def _unknown_kind(path):
     def edit(events):
-        _first(events, "send")["kind"] = "bogus"
+        _first(events, "sends")["kind"] = "bogus"
     _edit_events(path, edit)
 
 
@@ -289,17 +296,18 @@ def _unknown_kind(path):
                                    _short_history_element,
                                    _append_without_seq, _unknown_kind,
                                    _string_n, _integer_crashed, _list_recon,
-                                   _string_quiescent, _schema_1,
+                                   _string_quiescent, _schema_1, _schema_2,
                                    _string_keep, _negative_keep,
                                    _keep_above_previous,
                                    _history_without_delta,
                                    _string_add_element, _huge_n])
 def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
     path = _fig1_trace(tmp_path)
-    spoil(path)
+    message = spoil(path) or ""
     capsys.readouterr()
     assert main(["check", "--trace", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err, err
 
 
 @pytest.mark.parametrize("line", [
@@ -314,6 +322,32 @@ def test_hostile_trace_line_is_usage_error_naming_it(capsys, tmp_path, line):
     capsys.readouterr()
     assert main(["check", "--trace", str(path)]) == 2
     assert "line 4 is not JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    {"t": None}, {"t": "5"}, {"t": True}, {"t": 1.5},
+    {"to": None}, {"to": "x"}, {"to": {}}, {"to": []}, {"to": [[2]]},
+    {"to": [[2, 9], [3, 9, 1]]}, {"to": [[2, 9], "ab"]}, {"to": [{"2": 9}]},
+    {"uid": None}, {"uid": [1]}, {"uid": [1, 1, 1]}, {"uid": "ab"},
+    {"uid": {"0": 1, "1": 1}}, {"at": None}, {"src": None},
+], ids=lambda edit: "%s=%s" % next(iter(edit.items())))
+def test_hostile_sends_line_is_usage_error_naming_it(capsys, tmp_path, edit):
+    # a field given as None is left out; an empty `to` is refused, as a
+    # line that takes no step
+    path = _fig1_trace(tmp_path)
+    lines = path.read_text().splitlines()
+    number = next(i for i, line in enumerate(lines, 1)
+                  if '"kind":"sends"' in line)
+    ev = json.loads(lines[number - 1])
+    ev.update(edit)
+    lines[number - 1] = json.dumps({k: v for k, v in ev.items()
+                                    if v is not None})
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "line %d is a malformed sends line" % number in err, err
 
 
 def _repeat_kept_command(path):

@@ -1,8 +1,11 @@
-"""Growth gates: how a run's cost grows with its length, without a clock.
+"""Growth gates: how a run's cost grows with its length and its replica
+count, without a clock.
 
 Wall-clock ratios on a shared machine are noise; the traced peak of a
-run's heap is the same bytes on every run.  So a term that grows faster
-than the run shows as a per-command peak that rises with N.
+run's heap and the bytes of its trace are the same on every run.  So a
+term that grows faster than the run shows as a per-command peak that
+rises with N, and a trace term above the broadcast's as bytes per command
+that rise faster than n.
 """
 
 import gc
@@ -70,3 +73,28 @@ def test_check_peak_per_command_grows_only_by_the_masks(tmp_path, recon):
     assert ratio <= 1.2, (
         "%s: check peak %.0f B/cmd at N=300, %.0f B/cmd at N=1200: "
         "x%.3f, above x1.2" % (recon, small, large, ratio))
+
+
+def _trace_bytes_per_command(tmp_path, n, commands=600):
+    """The bytes of a written `continuous` bfs trace at n replicas, with
+    the final flush, per command."""
+    scenario = continuous_scenario(0, "bfs", commands=commands, n=n)
+    scenario.quiescence_flush = True
+    path = tmp_path / ("n%d.jsonl" % n)
+    run(scenario).to_jsonl(path)
+    return path.stat().st_size / commands
+
+
+# Eager reliable broadcast makes n(n-1) channel sends per command, n fan-outs
+# of n-1, and the trace writes a fan-out as one line, so that a command's
+# lines grow linearly with n.  The O(n^2) term left is one `[dst,at]` pair,
+# about 8 bytes, per channel send.  From n = 3 to 6 the bytes per command
+# grow x2.07, from 799 to 1652; a line per channel send gave x3.31 (1043 to
+# 3449), which fails.  The two runs take about 0.15 s.
+def test_trace_bytes_per_command_grow_about_linearly_in_n(tmp_path):
+    small = _trace_bytes_per_command(tmp_path, 3)
+    large = _trace_bytes_per_command(tmp_path, 6)
+    ratio = large / small
+    assert ratio <= 2.5, (
+        "trace %.0f B/cmd at n=3, %.0f B/cmd at n=6: x%.3f, above x2.5"
+        % (small, large, ratio))

@@ -209,7 +209,7 @@ def test_trace_jsonl_roundtrip(tmp_path):
     assert again.events == trace.events
     with open(path) as fh:
         first = json.loads(fh.readline())
-    assert first["schema"] == 2
+    assert first["schema"] == 3
 
 
 def test_trace_from_jsonl_rejects_non_trace(tmp_path):
@@ -313,6 +313,33 @@ def _per_line_json_loads(path):
     return values
 
 
+def _expanded(values):
+    """Per-line values with each `sends` value replaced by its `send`
+    events, as schema 2 wrote them: the i-th [dst, deliver_at] pair at
+    step t + i."""
+    events = []
+    for v in values:
+        if not (isinstance(v, dict) and v.get("kind") == "sends"):
+            events.append(v)
+            continue
+        for i, (dst, deliver_at) in enumerate(v["to"]):
+            events.append({"at": v["at"], "deliver_at": deliver_at,
+                           "dst": dst, "kind": "send", "src": v["src"],
+                           "t": v["t"] + i, "uid": v["uid"]})
+    return events
+
+
+def _well_formed_sends(v):
+    """Whether `sends` value `v` has what its expansion needs: an integer
+    `t`, one or more [dst, deliver_at] lists in `to`, a 2-item `uid`
+    list, an `at` and a `src`."""
+    to, uid = v.get("to"), v.get("uid")
+    return (type(v.get("t")) is int and "at" in v and "src" in v
+            and isinstance(to, list) and len(to) > 0
+            and all(isinstance(p, list) and len(p) == 2 for p in to)
+            and isinstance(uid, list) and len(uid) == 2)
+
+
 # a line the writer makes from its deliver template
 _DELIVER = '{"kind":"deliver","replica":1,"t":5,"uid":[1,2]}'
 
@@ -365,7 +392,7 @@ def test_reader_matches_per_line_json_loads(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     expected = _per_line_json_loads(path)
     if isinstance(expected, list):
-        assert sim._read_jsonl(path) == expected
+        assert sim._read_jsonl(path) == _expanded(expected)
     else:
         with pytest.raises(ConfigError, match="line %d is not JSON"
                            % expected):
@@ -386,12 +413,14 @@ def test_reader_matches_per_line_json_loads_on_traces(tmp_path, name,
                                                        recon):
     # template lines are parsed in runs, every other line by itself; the
     # result is per-line json.loads on the file as written, with CRLF line
-    # ends and re-spaced
+    # ends and re-spaced, with each sends line expanded
     path = tmp_path / "t.jsonl"
     run(BUILTIN[name](2, recon)).to_jsonl(path)
     for copy in (path, _crlf(path, tmp_path), _respaced(path, tmp_path)):
         expected = _per_line_json_loads(copy)
-        assert isinstance(expected, list) and len(expected) > 100
+        assert isinstance(expected, list)
+        expected = _expanded(expected)
+        assert len(expected) > 100
         assert sim._read_jsonl(copy) == expected
 
 
@@ -461,28 +490,34 @@ def _writer_scenarios():
 
 def test_written_lines_are_the_encoder_lines(tmp_path):
     path = tmp_path / "t.jsonl"
-    formatted = {"send", "deliver", "insert", "history"}
+    formatted = {"sends", "deliver", "insert", "history"}
     for sc in _writer_scenarios():
         trace = run(sc)
         trace.to_jsonl(path)        # the simulator's lines, as it wrote them
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert lines == [sim._encode(ev) + "\n"
-                         for ev in [trace.meta, *trace.events]], sc.name
-        assert trace.events == Trace.from_jsonl(path).events, sc.name
+        values = [json.loads(line) for line in lines[1:]]
+        assert lines == [sim._encode(v) + "\n"
+                         for v in [trace.meta, *values]], sc.name
+        # one line per fan-out to the n-1 other replicas, and its send
+        # events are the trace's
+        assert all(len(v["to"]) == sc.n - 1 for v in values
+                   if v["kind"] == "sends"), sc.name
+        assert _expanded(values) == trace.events \
+            == Trace.from_jsonl(path).events, sc.name
         # the reader's grammar takes every line of the simulator's own
         # formats, and all of them occur
         kinds = set()
-        for ev, line in zip(trace.events, lines[1:]):
-            if ev["kind"] in formatted:
+        for v, line in zip(values, lines[1:]):
+            if v["kind"] in formatted:
                 assert sim._template_line()(line), line
-                kinds.add(ev["kind"])
-        assert kinds == formatted, sc.name
+            kinds.add(v["kind"])
+        assert formatted <= kinds and "send" not in kinds, sc.name
 
 
 def _perturbed(ev):
-    """Copies of a send, deliver, insert or history event with one field of
-    another type or shape, one key too many or too few, or a kind that is
-    not a string."""
+    """Copies of a sends, deliver, insert or history event with one field
+    of another type or shape, one key too many or too few, or a kind that
+    is not a string."""
     odd = [True, 1.5, "1", None, 2**70, -1, [1]]
     for key, value in ev.items():
         if type(value) is int or value is None:     # t, at, deliver_at, ...
@@ -497,7 +532,7 @@ def _perturbed(ev):
             for x in (tuple(value), value[:1], [*value, 1],
                       {0: value[0], 1: value[1]}):
                 yield {**ev, key: x}
-        elif key in ("parents", "add"):
+        elif key in ("parents", "add", "to"):
             yield {**ev, key: [tuple(p) for p in value]}
             yield {**ev, key: tuple(value)}
             yield {**ev, key: {}}
@@ -506,28 +541,35 @@ def _perturbed(ev):
             yield {**ev, key: [[1, True], [1, 2]]}
             yield {**ev, key: [{0: 1, 1: 2}]}
             yield {**ev, key: [[1, 2], [1, 2.0]]}
+            yield {**ev, key: [[1, 2], [1, None]]}
+            yield {**ev, key: [[1, 2], "ab"]}
+            yield {**ev, key: []}
     for extra in ("x", "zz", 0):
         yield {**ev, extra: 1}
     for key in ev:
         less = {k: v for k, v in ev.items() if k != key}
         yield less
         yield {**less, "x": 1}
-    for kind in (1, None, ["send"], b"send", ("send",)):
+    for kind in (1, None, ["send"], b"send", ("send",), "send"):
         yield {**ev, "kind": kind}
 
 
 def test_template_lines_match_the_encoder_on_odd_events(tmp_path):
-    trace = run(random_scenario(0, "bfs"))
+    path = tmp_path / "odd.jsonl"
+    run(random_scenario(0, "bfs")).to_jsonl(path)
+    values = _per_line_json_loads(path)[1:]
     samples = []
-    for kind in ("send", "deliver", "insert", "history"):
-        samples.append(next(ev for ev in trace.events
-                            if ev["kind"] == kind))
-    samples.append({**samples[0], "deliver_at": None})
-    samples.append(next(ev for ev in trace.events
-                        if ev["kind"] == "insert" and len(ev["parents"]) > 1))
+    for kind in ("sends", "deliver", "insert", "history"):
+        samples.append(next(v for v in values if v["kind"] == kind))
+    sends = samples[0]
+    assert len(sends["to"]) == 4                # n - 1 pairs
+    samples.append({**sends, "to": sends["to"][:1]})
+    samples.append({**sends, "to": [sends["to"][0], [2, None]]})
+    samples.append(next(v for v in values
+                        if v["kind"] == "insert" and len(v["parents"]) > 1))
     samples.append({**samples[2], "parents": []})
-    samples.append(next(ev for ev in trace.events
-                        if ev["kind"] == "history" and len(ev["add"]) > 1))
+    samples.append(next(v for v in values
+                        if v["kind"] == "history" and len(v["add"]) > 1))
     samples.append({**samples[3], "add": []})
     lines = []
     for sample in samples:
@@ -537,25 +579,40 @@ def test_template_lines_match_the_encoder_on_odd_events(tmp_path):
                 lines.append(sim._encode(ev))
             except TypeError:   # keys that do not sort, or a bytes kind
                 pass
-    assert len(lines) > 400
-    # the reader takes the encoder's odd lines, some in the template form
-    # and most not, as per-line json.loads does
-    path = tmp_path / "odd.jsonl"
-    path.write_text("".join(line + "\n" for line in lines))
-    assert sim._read_jsonl(path) == _per_line_json_loads(path)
+    assert len(lines) > 500
+    # a sends line the reader cannot expand is refused, naming it
+    kept = []
+    for line in lines:
+        v = json.loads(line)
+        if v.get("kind") != "sends" or _well_formed_sends(v):
+            kept.append(line)
+            continue
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="line 1 is a malformed sends"):
+            sim._read_jsonl(path)
+    assert len(lines) - len(kept) > 50
+    # the reader takes the encoder's other odd lines, some in the template
+    # form and most not, as per-line json.loads does, and expands them
+    path.write_text("".join(line + "\n" for line in kept))
+    assert sim._read_jsonl(path) == _expanded(_per_line_json_loads(path))
 
 
 class _EveryReceipt(sim._Sim):
     """The simulator that schedules every channel receipt, also of a
-    vertex the destination already holds."""
+    vertex the destination already holds, and writes its sends lines
+    through the encoder."""
 
-    def _send(self, src, dst, msg):
-        at = self._deliver_time(src, dst, msg)
-        self._emit({"kind": "send", "src": src, "dst": dst,
+    def _send(self, src, dsts, msg):
+        to = []
+        for dst in dsts:
+            at = self._deliver_time(src, dst, msg)
+            to.append([dst, at])
+            if at is not None:
+                self._push(at, self._handle_recv, src, dst, msg)
+        self._emit({"kind": "sends", "src": src, "to": to,
                     "uid": [msg.vertex.issuer, msg.vertex.seq],
-                    "at": self.now, "deliver_at": at})
-        if at is not None:
-            self._push(at, self._handle_recv, src, dst, msg)
+                    "at": self.now})
+        self.step += len(to) - 1
 
 
 def _schedule_scenarios():

@@ -2,8 +2,11 @@
 the one representation a trace holds at a time.
 
 The simulator formats its own trace lines; the digests hold those formats
-to the same bytes on every supported Python.  A change that alters the
-trace on purpose re-records the fixture:
+to the same bytes on every supported Python.  A second table pins the
+events: each trace rendered as schema 2 wrote it, a line per event, one
+`send` line per channel send.  Schema 3 wrote each fan-out as one `sends`
+line and left the events as they were, so that table is schema 2's own.
+A change that alters the trace on purpose re-records both:
 
     PYTHONPATH=src python tests/test_trace_bytes.py
 """
@@ -17,10 +20,11 @@ import pytest
 
 from dagrepl.scenarios import continuous_scenario, fig1_scenario, \
     random_scenario, starvation_scenario
-from dagrepl.sim import Scenario, Trace, run
+from dagrepl.sim import Scenario, Trace, _encode, run
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-FIXTURE = FIXTURES / "trace_sha256.json"
+FIXTURE = FIXTURES / "trace_sha256_schema3.json"
+EVENTS_FIXTURE = FIXTURES / "trace_sha256.json"     # the schema 2 rendering
 
 
 def _scenarios():
@@ -47,16 +51,38 @@ def _digests(directory):
     for name, sc in _scenarios():
         run(sc).to_jsonl(path)
         data = path.read_bytes()
+        assert b'"kind":"sends"' in data and b'"kind":"send"' not in data
         if name.endswith("no-flush"):
-            assert b'"deliver_at":null' in data
+            assert b',null]' in data
         if name == "nfs_bottoms":
             assert b'"kind":"append_bottom"' in data and b"\\u00e9" in data
         digests[name] = hashlib.sha256(data).hexdigest()
     return digests
 
 
+def _schema_2_digests():
+    """The digest of each pinned trace rendered as schema 2 wrote it: the
+    meta with schema 2, then the encoder's line of each event."""
+    digests = {}
+    for name, sc in _scenarios():
+        trace = run(sc)
+        lines = [_encode({**trace.meta, "schema": 2})]
+        lines += map(_encode, trace.events)
+        data = "".join(line + "\n" for line in lines).encode()
+        if name.endswith("no-flush"):
+            assert b'"deliver_at":null' in data
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
 def test_trace_bytes_match_the_recorded_digests(tmp_path):
     assert _digests(tmp_path) == json.loads(FIXTURE.read_text())
+
+
+def test_events_are_schema_2s_events():
+    # the send events that a run's sends lines expand into, and every
+    # other event, are byte for byte the lines schema 2 wrote
+    assert _schema_2_digests() == json.loads(EVENTS_FIXTURE.read_text())
 
 
 def _change_a_field(trace):
@@ -90,5 +116,7 @@ def test_edited_events_are_written_not_the_lines(tmp_path, edit):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
-        FIXTURE.write_text(json.dumps(_digests(d), indent=2, sort_keys=True)
-                           + "\n")
+        for fixture, digests in ((FIXTURE, _digests(d)),
+                                 (EVENTS_FIXTURE, _schema_2_digests())):
+            fixture.write_text(json.dumps(digests, indent=2, sort_keys=True)
+                               + "\n")

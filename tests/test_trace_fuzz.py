@@ -60,13 +60,16 @@ MUTATIONS = (_drop, _duplicate, _swap, _retype)
 
 def _renumber(lines):
     """Number the integer `t`s of the event lines 1, 2, ... again, so that
-    a mutant with moved lines gets past the reader to the checkers."""
+    a mutant with moved lines gets past the reader to the checkers.  A
+    `sends` line with a non-empty `to` list takes a step per item."""
     t = 0
     for i, line in enumerate(lines[1:], 1):
         ev = json.loads(line)
         if isinstance(ev, dict) and type(ev.get("t")) is int:
-            t += 1
-            ev["t"] = t
+            ev["t"] = t + 1
+            to = ev.get("to")
+            sends = ev.get("kind") == "sends" and isinstance(to, list)
+            t += len(to) if sends and to else 1
             lines[i] = json.dumps(ev)
 
 
