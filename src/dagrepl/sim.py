@@ -20,10 +20,11 @@ partition line by the encoder.  A `sends` line (schema 3) is one fan-out
 of the broadcast layer: its n-1 channel sends as `[dst, deliver_at]`
 pairs in the order their delays are drawn, at the steps t, t+1, ...; the
 reader expands it into one `send` event per pair, so a trace's events are
-those of schema 2.  The trace `run` returns is those lines, and its events
-are parsed from them on first read.  Reading takes any spacing that
-per-line `json.loads` takes; the lines in the simulator's int-only form
-are parsed many to one call, so that their events share their key strings.
+those of schema 2.  The trace `run` returns is those lines; its events
+are parsed on first read by the reader of a file's lines after its meta,
+which takes any spacing that per-line `json.loads` takes and parses each
+run of lines of the simulator's formats in one call, so that their events
+share their key strings.
 
 Timing model: channel delays are drawn from the seeded RNG as
 `randint(1, delay_max)` draws them (or pinned by an explicit per-message
@@ -156,82 +157,51 @@ def _is_int(x):
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _read_jsonl(path):
-    """The events of the non-blank lines of `path`, in order: each line's
-    JSON value, but a `sends` value's `send` events in its place.
-
-    It accepts and rejects exactly the lines that per-line `json.loads`
-    does: a line is one JSON value with optional JSON whitespace around it.
-    A malformed `sends` line (`_checked_sends`) is refused, naming it.
-    Template lines are parsed in runs, so that their events share their key
-    strings; `json.loads` parses every other line.
-    """
-    # run: the template lines since the last parse; others: the events of
-    # each other line since then, after the first `at` lines of run
-    values, run, others = [], [], []
-    template_line = _template_line()
-
-    def parse_run():
-        parsed = json.loads("[%s]" % ",".join(run))
-        start = 0
-        for at, events in others:
-            _expand_into(values, parsed[start:at])
-            values.extend(events)
-            start = at
-        _expand_into(values, parsed[start:])
-        run.clear()
-        others.clear()
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for number, line in enumerate(fh, 1):
-                if template_line(line):
-                    run.append(line)
-                elif line.strip():
-                    others.append((len(run), _line_events(path, number,
-                                                          line)))
-                else:
-                    continue
-                if len(run) + len(others) == _RUN:
-                    parse_run()
-        except UnicodeDecodeError as exc:
-            raise ConfigError("%s is not UTF-8 text (%s)"
-                              % (path, exc)) from None
-    parse_run()
-    return values
-
-
-def _line_events(path, number, line):
-    """The events of line `number` of `path`, a line outside the template:
-    its JSON value, or a `sends` value's `send` events."""
+def _value(where, number, line):
+    """The JSON value of line `number` of `where`."""
     try:
-        value = json.loads(line)
+        return json.loads(line)
     # a ValueError also stands for an int past the digit limit
     except (ValueError, RecursionError) as exc:
         raise ConfigError("%s: line %d is not JSON (%s)"
-                          % (path, number, exc)) from None
-    if type(value) is not dict or value.get("kind") != "sends":
-        return (value,)
-    try:
-        return _checked_sends(value)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("%s: line %d is a malformed sends line: %s %s"
-                          % (path, number, type(exc).__name__, exc)) from None
+                          % (where, number, exc)) from None
 
 
-def _parse_lines(lines):
-    """The events of `lines`, simulator lines of one JSON value each:
-    `_RUN` lines to one call, so that their objects share their key
-    strings, with each `sends` value's `send` events in its place."""
-    events = []
-    for at in range(0, len(lines), _RUN):
-        _expand_into(events,
-                     json.loads("[%s]" % ",".join(lines[at:at + _RUN])))
+def _read_lines(lines, where, number=0):
+    """The events of the non-blank text lines `lines`, which follow line
+    `number` of `where`: each line's JSON value, but a `sends` value's
+    `send` events in its place.  It takes and refuses exactly the lines
+    that per-line `json.loads` does, and refuses a malformed `sends` line
+    (`_checked_sends`), naming it.  A run of consecutive template lines, at
+    most `_RUN`, is parsed in one call, so that their events share their
+    key strings; any other line ends the run and is parsed by itself."""
+    events, run = [], []
+    template_line = _template_line()
+
+    def parse_run():
+        _expand_into(events, json.loads("[%s]" % ",".join(run)))
+        run.clear()
+
+    for number, line in enumerate(lines, number + 1):
+        if template_line(line):
+            run.append(line)
+            if len(run) == _RUN:
+                parse_run()
+        elif line.strip():
+            parse_run()
+            value = _value(where, number, line)
+            if type(value) is not dict or type(value.get("kind")) is not str:
+                events.append(value)
+            elif value["kind"] == "sends":
+                events += _checked_sends(where, number, value)
+            else:
+                _expand_into(events, (value,))
+    parse_run()
     return events
 
 
 def _expand_into(events, values):
-    """Append `values`, events of the simulator's form, to `events`, each
+    """Append `values`, dicts with a string `kind`, to `events`, each
     `sends` value as its `send` events, and each with one string per kind,
     not one per event."""
     for value in values:
@@ -252,49 +222,59 @@ def _sends(ev):
             for i, (dst, deliver_at) in enumerate(ev["to"])]
 
 
-def _checked_sends(ev):
-    """`_sends(ev)` of any `sends` value: KeyError for a missing field,
-    TypeError or ValueError for a `t` that is not an integer, a `to` that
-    is not a list of one or more [dst, deliver_at] lists, or a `uid` that
-    is not a 2-item list.  The simulator never writes an empty `to`: a
-    fan-out to no replica is no line, and a line takes one step per pair."""
-    t, to, uid = ev["t"], ev["to"], ev["uid"]
-    if type(t) is not int:
-        raise TypeError("t %r is not an integer" % (t,))
-    if type(to) is not list or not to \
-            or any(type(pair) is not list or len(pair) != 2 for pair in to):
-        raise ValueError("to %r is not a list of one or more "
-                         "[dst, deliver_at] pairs" % (to,))
-    if type(uid) is not list or len(uid) != 2:
-        raise ValueError("uid %r is not a pair" % (uid,))
-    return _sends(ev)
+def _checked_sends(where, number, ev):
+    """`_sends(ev)` of the `sends` value of line `number` of `where`;
+    ConfigError names the line for a missing field, a `t` that is not an
+    integer, a `to` that is not a list of one or more [dst, deliver_at]
+    lists, or a `uid` that is not a 2-item list.  The simulator never
+    writes an empty `to`: a fan-out to no replica is no line, and a line
+    takes one step per pair."""
+    try:
+        t, to, uid = ev["t"], ev["to"], ev["uid"]
+        if type(t) is not int:
+            raise TypeError("t %r is not an integer" % (t,))
+        if type(to) is not list or not to or any(
+                type(pair) is not list or len(pair) != 2 for pair in to):
+            raise ValueError("to %r is not a list of one or more "
+                             "[dst, deliver_at] pairs" % (to,))
+        if type(uid) is not list or len(uid) != 2:
+            raise ValueError("uid %r is not a pair" % (uid,))
+        return _sends(ev)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("%s: line %d is a malformed sends line: %s %s"
+                          % (where, number, type(exc).__name__, exc)) from None
 
 
-# A line of the simulator's form of a sends, deliver, insert or history
-# event (`_SENDS`, ...), with canonical ints of at most 18 digits, none
-# negative: the simulator writes none.  It is exactly one JSON value, so a
-# run of such lines joined by commas is one JSON array; the digit bound
-# keeps that parse below the int digit limit.  The pattern is compiled in
-# every process that reads a trace, so the int group, copied 32 times, is
-# kept short: a lookahead for the leading zero, not an alternation.  It is
-# compiled with re.ASCII, so that `\d` is a JSON digit, not any Unicode
-# decimal digit.
+# A line of one of the simulator's formats (`_SENDS`, ...) with canonical
+# ints of at most 18 digits, none negative (the simulator writes none), and
+# an op or resp that is such an int, a string of printable ASCII without
+# `"` or `\`, or a flat list of those.  It is exactly one JSON value, so a
+# run of such lines joined by commas is one JSON array of the lines'
+# values; the digit bound keeps that parse below the int digit limit.  The
+# pattern is compiled in every process that reads a trace, so the int
+# group, copied 42 times, is kept short: a lookahead for the leading zero,
+# not an alternation.  It is compiled with re.ASCII, so that `\d` is a JSON
+# digit, not any Unicode decimal digit.
 _INT = r"(?!0\d)\d{1,18}"
 _PAIR = r"\[%s,%s\]" % (_INT, _INT)
 _PAIRS = r"\[(?:%s(?:,%s)*)?\]" % (_PAIR, _PAIR)
 # a sends line's `to`: one or more [dst, deliver_at or null] pairs
 _TO_PAIR = r"\[%s,(?:%s|null)\]" % (_INT, _INT)
 _TO = r"\[%s(?:,%s)*\]" % (_TO_PAIR, _TO_PAIR)
+# an append line's op or resp
+_ATOM = r'(?:%s|"[ !#-\[\]-~]*")' % _INT
+_VALUE = r"(?:%s|\[(?:%s(?:,%s)*)?\])" % (_ATOM, _ATOM, _ATOM)
 
 
 @cache
 def _template_line():
     """The `fullmatch` of such a line, compiled on first use."""
-    formats = (_SENDS, _DELIVER, _INSERT, _HISTORY)
+    formats = (_SENDS, _DELIVER, _INSERT, _HISTORY, _APPEND, _APPEND_BOTTOM)
     return re.compile("(?:%s)\n?" % "|".join(
         re.escape(f.rstrip("\n"))
         .replace(re.escape('"to":[%s]'), '"to":' + _TO)
         .replace(re.escape("[%s]"), _PAIRS)
+        .replace("%s", _VALUE)
         .replace("%d", _INT) for f in formats), re.ASCII).fullmatch
 
 
@@ -343,7 +323,7 @@ class Trace:
     @property
     def events(self):
         if self._lines is not None:
-            self._events, self._lines = _parse_lines(self._lines), None
+            self._events, self._lines = _read_lines(self._lines, "run"), None
         return self._events
 
     @events.setter
@@ -358,15 +338,28 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, path):
-        lines = _read_jsonl(path)
-        if not lines or not isinstance(lines[0], dict) \
-                or "schema" not in lines[0]:
-            raise ConfigError("not a trace file: %s" % path)
-        if lines[0]["schema"] != TRACE_SCHEMA:
-            raise ConfigError("%s: trace schema %r, not %d; record the "
-                              "trace again" % (path, lines[0]["schema"],
-                                               TRACE_SCHEMA))
-        return cls(lines[0], lines[1:])
+        """The trace in file `path`.  Its meta, the first non-blank line, is
+        checked before the other lines are read: ConfigError for a file that
+        is not a trace or a trace of another schema."""
+        with open(path, encoding="utf-8") as fh:
+            try:
+                meta = None
+                for number, line in enumerate(fh, 1):
+                    if line.strip():
+                        meta = _value(path, number, line)
+                        break
+                if type(meta) is not dict or "schema" not in meta:
+                    raise ConfigError("not a trace file: %s" % path)
+                # 3.0 == 3, but a float schema is no writer's
+                if type(meta["schema"]) is not int \
+                        or meta["schema"] != TRACE_SCHEMA:
+                    raise ConfigError("%s: trace schema %r, not %d; record "
+                                      "the trace again"
+                                      % (path, meta["schema"], TRACE_SCHEMA))
+                return cls(meta, _read_lines(fh, path, number))
+            except UnicodeDecodeError as exc:
+                raise ConfigError("%s is not UTF-8 text (%s)"
+                                  % (path, exc)) from None
 
 
 def full_histories(events):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -241,6 +242,12 @@ def _schema_2(path):
     return "record the trace again"
 
 
+def _schema_float(path):
+    # 3.0 == 3, but no writer writes a float schema
+    _edit_meta(path, lambda meta: meta.update(schema=3.0))
+    return "record the trace again"
+
+
 def _string_keep(path):
     def edit(events):
         _first(events, "history")["keep"] = "0"
@@ -297,6 +304,7 @@ def _unknown_kind(path):
                                    _append_without_seq, _unknown_kind,
                                    _string_n, _integer_crashed, _list_recon,
                                    _string_quiescent, _schema_1, _schema_2,
+                                   _schema_float,
                                    _string_keep, _negative_keep,
                                    _keep_above_previous,
                                    _history_without_delta,
@@ -308,6 +316,21 @@ def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
     assert main(["check", "--trace", str(path)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err, err
+
+
+def test_other_schema_is_refused_before_its_body(capsys, tmp_path):
+    # the meta is read first: a schema-2 trace is refused for its schema,
+    # not for a later line that is not JSON
+    path = _fig1_trace(tmp_path)
+    _edit_meta(path, lambda meta: meta.update(schema=2))
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1][:20]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "record the trace again" in err, err
+    assert re.search(r"line \d", err) is None, err
 
 
 @pytest.mark.parametrize("line", [

@@ -313,6 +313,12 @@ def _per_line_json_loads(path):
     return values
 
 
+def _read(path):
+    """The trace reader on every line of `path`, a meta line or none."""
+    with open(path, encoding="utf-8") as fh:
+        return sim._read_lines(fh, path)
+
+
 def _expanded(values):
     """Per-line values with each `sends` value replaced by its `send`
     events, as schema 2 wrote them: the i-th [dst, deliver_at] pair at
@@ -340,8 +346,10 @@ def _well_formed_sends(v):
             and isinstance(uid, list) and len(uid) == 2)
 
 
-# a line the writer makes from its deliver template
+# lines the writer makes from its deliver and append templates
 _DELIVER = '{"kind":"deliver","replica":1,"t":5,"uid":[1,2]}'
+_APPEND = ('{"kind":"append","op":["push",1],"replica":1,"resp":"ok",'
+           '"seq":1,"t":5}')
 
 
 @pytest.mark.parametrize("text", [
@@ -386,17 +394,25 @@ _DELIVER = '{"kind":"deliver","replica":1,"t":5,"uid":[1,2]}'
     )),
     _DELIVER + '\r\n' + _DELIVER + '\r\n',
     _DELIVER + '\n' + _DELIVER,
-], ids=range(38))
+    # JSON takes a string with a raw DEL, a raw non-ASCII character or an
+    # escape, and refuses one with a raw tab
+    *(_DELIVER + '\n%s\n' % line + _DELIVER + '\n' for line in (
+        _APPEND.replace('"ok"', '"o\tk"'),
+        _APPEND.replace('"ok"', '"o\x7fk"'),
+        _APPEND.replace('"ok"', '"\u00e9"'),
+        _APPEND.replace('"ok"', '"o\\\\k"'),
+    )),
+], ids=range(42))
 def test_reader_matches_per_line_json_loads(tmp_path, text):
     path = tmp_path / "lines.jsonl"
     path.write_text(text, encoding="utf-8")
     expected = _per_line_json_loads(path)
     if isinstance(expected, list):
-        assert sim._read_jsonl(path) == _expanded(expected)
+        assert _read(path) == _expanded(expected)
     else:
         with pytest.raises(ConfigError, match="line %d is not JSON"
                            % expected):
-            sim._read_jsonl(path)
+            _read(path)
 
 
 def _crlf(path, tmp_path):
@@ -421,7 +437,7 @@ def test_reader_matches_per_line_json_loads_on_traces(tmp_path, name,
         assert isinstance(expected, list)
         expected = _expanded(expected)
         assert len(expected) > 100
-        assert sim._read_jsonl(copy) == expected
+        assert _read(copy) == expected
 
 
 def test_parsed_events_share_their_keys(tmp_path):
@@ -429,13 +445,17 @@ def test_parsed_events_share_their_keys(tmp_path):
     path = tmp_path / "t.jsonl"
     trace = run(random_scenario(4, "bfs"))
     trace.to_jsonl(path)
-    for events in (Trace.from_jsonl(path).events, trace.events):
+    read = Trace.from_jsonl(path).events
+    for events in (read, trace.events):
         keys = sum(map(len, events))
         distinct = len({id(key) for ev in events for key in ev})
         assert keys > 30000 and distinct < keys / 20
-    # and a run's events hold one string per kind, not one per event
-    kinds = {ev["kind"] for ev in trace.events}
-    assert len({id(ev["kind"]) for ev in trace.events}) == len(kinds) > 3
+    # and they hold one string per kind, not one per event, also where
+    # every line is parsed by itself
+    respaced = Trace.from_jsonl(_respaced(path, tmp_path)).events
+    for events in (read, trace.events, respaced):
+        kinds = {ev["kind"] for ev in events}
+        assert len({id(ev["kind"]) for ev in events}) == len(kinds) > 3
 
 
 @pytest.mark.parametrize("recon", ["bfs", "fair", "lifo"])
@@ -491,6 +511,8 @@ def _writer_scenarios():
 def test_written_lines_are_the_encoder_lines(tmp_path):
     path = tmp_path / "t.jsonl"
     formatted = {"sends", "deliver", "insert", "history"}
+    appends = {"append", "append_bottom"}
+    templated = set()
     for sc in _writer_scenarios():
         trace = run(sc)
         trace.to_jsonl(path)        # the simulator's lines, as it wrote them
@@ -505,19 +527,23 @@ def test_written_lines_are_the_encoder_lines(tmp_path):
         assert _expanded(values) == trace.events \
             == Trace.from_jsonl(path).events, sc.name
         # the reader's grammar takes every line of the simulator's own
-        # formats, and all of them occur
+        # formats, an append's only where JSON escapes neither its op nor
+        # its resp, and all of them occur
         kinds = set()
         for v, line in zip(values, lines[1:]):
-            if v["kind"] in formatted:
+            if v["kind"] in formatted or (v["kind"] in appends
+                                          and "\\" not in line):
                 assert sim._template_line()(line), line
+                templated.add(v["kind"])
             kinds.add(v["kind"])
         assert formatted <= kinds and "send" not in kinds, sc.name
+    assert templated == formatted | appends
 
 
 def _perturbed(ev):
-    """Copies of a sends, deliver, insert or history event with one field
-    of another type or shape, one key too many or too few, or a kind that
-    is not a string."""
+    """Copies of an event of one of the simulator's line formats with one
+    field of another type or shape, one key too many or too few, or a kind
+    that is not a string."""
     odd = [True, 1.5, "1", None, 2**70, -1, [1]]
     for key, value in ev.items():
         if type(value) is int or value is None:     # t, at, deliver_at, ...
@@ -544,6 +570,12 @@ def _perturbed(ev):
             yield {**ev, key: [[1, 2], [1, None]]}
             yield {**ev, key: [[1, 2], "ab"]}
             yield {**ev, key: []}
+        elif key in ("op", "resp"):
+            # JSON escapes the first three; a float, a nested list and a
+            # 19-digit int are outside the template, the others inside
+            for x in ('say "hi"', "a\\b", "caf\u00e9", 1.5, [["push", 1]],
+                      10**18, [], "", ["push", 10**18 - 1, "x"]):
+                yield {**ev, key: x}
     for extra in ("x", "zz", 0):
         yield {**ev, extra: 1}
     for key in ev:
@@ -571,6 +603,12 @@ def test_template_lines_match_the_encoder_on_odd_events(tmp_path):
     samples.append(next(v for v in values
                         if v["kind"] == "history" and len(v["add"]) > 1))
     samples.append({**samples[3], "add": []})
+    samples.append(next(v for v in values if v["kind"] == "append"))
+    run(Scenario.load(pathlib.Path(__file__).parent / "fixtures"
+                      / "nfs_bottoms.json")).to_jsonl(path)
+    samples.append(next(v for v in _per_line_json_loads(path)[1:]
+                        if v["kind"] == "append_bottom"
+                        and "\\" not in sim._encode(v)))
     lines = []
     for sample in samples:
         assert sim._template_line()(sim._encode(sample))
@@ -589,12 +627,12 @@ def test_template_lines_match_the_encoder_on_odd_events(tmp_path):
             continue
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match="line 1 is a malformed sends"):
-            sim._read_jsonl(path)
+            _read(path)
     assert len(lines) - len(kept) > 50
     # the reader takes the encoder's other odd lines, some in the template
     # form and most not, as per-line json.loads does, and expands them
     path.write_text("".join(line + "\n" for line in kept))
-    assert sim._read_jsonl(path) == _expanded(_per_line_json_loads(path))
+    assert _read(path) == _expanded(_per_line_json_loads(path))
 
 
 class _EveryReceipt(sim._Sim):
