@@ -1,9 +1,10 @@
 """Trace checkers: convergence, stability, fairness and safety.
 
 All checkers consume a Trace produced by `dagrepl.sim.run` (or reloaded
-from a trace file), or the one-pass digest of it that `run_all_checks`
-shares between them, and return verdict objects; they never mutate the
-trace.  Histories and vertices are identified by (issuer, seq) pairs.
+from a trace file), or the one-pass digest of its records that
+`run_all_checks` shares between them, and return verdict objects; they
+never mutate the trace.  Histories and vertices are identified by
+(issuer, seq) pairs.
 
 A snapshot is a delta against the replica's previous snapshot (since trace
 schema 2), and the checkers work in proportion to the deltas, not to the
@@ -83,17 +84,21 @@ def _apply(h, keep, add):
 class _Digest:
     """One linear pass over the trace, shared by the checkers.
 
-    It is the checkers' only reader of the meta and the raw events.  It
-    requires the meta fields it reads (`_META_FIELDS`), strictly
-    increasing `t` and well-formed fields, with each `keep` between 0 and
-    the replica's previous history length, raising ConfigError that names
-    the offending field or event otherwise, so the checkers trust what it
-    records.  It also requires each replica in 1..n to be crashed or named
-    by an event, so that a hostile n cannot size the checkers' work, and
-    resolves the meta's reconciler name, raising ConfigError for an
-    unknown one.  It keeps each replica's current history as a list and a
-    uid set, records per snapshot the facts that need the set, and per
-    replica the revocation and delivery counts and first insert steps.
+    It is the checkers' only reader of the meta and the raw events, which
+    it reads as the trace's records (`Trace.records`), decoding each once,
+    by kind: a `sends` record counts as the `send` events it expands
+    into, and a `send` event as one.  It requires the meta fields it reads
+    (`_META_FIELDS`), strictly increasing `t` and well-formed fields, with
+    each `keep` between 0 and the replica's previous history length and a
+    non-empty `to` list in a `sends` record, raising ConfigError that
+    names the offending field or event otherwise, an event by its number
+    among the expanded events, so the checkers trust what it records.  It
+    also requires each replica in 1..n to be crashed or named by an event,
+    so that a hostile n cannot size the checkers' work, and resolves the
+    meta's reconciler name, raising ConfigError for an unknown one.  It
+    keeps each replica's current history as a list and a uid set, records
+    per snapshot the facts that need the set, and per replica the
+    revocation and delivery counts and first insert steps.
     """
 
     def __init__(self, trace):
@@ -126,52 +131,82 @@ class _Digest:
         histories = defaultdict(list)       # rid -> current history
         members = defaultdict(set)          # rid -> the uids in it
         awaiting = defaultdict(list)        # rid -> appends since snapshot
+        # the events before the record, a `sends` record counting as its
+        # channel sends, so that messages number the events of schema 2
+        pos = 0
         prev_t = None
-        for pos, ev in enumerate(trace.events, 1):
+        for rec in trace.records:
+            span = 1
+            # decode the record and record what it says; a trace that
+            # fails a test below is refused as a whole
             try:
-                kind, t, rid, value = self._decode(ev)
-                if kind == "history" \
-                        and not 0 <= value[0] <= len(histories[rid]):
-                    raise ValueError("keep %d is not in 0..%d (the previous "
-                                     "length)"
-                                     % (value[0], len(histories[rid])))
+                kind, t = rec["kind"], rec["t"]
+                if type(t) is not int:
+                    raise TypeError("t %r is not an integer" % (t,))
+                if kind == "sends":     # one fan-out: most channel sends
+                    to = rec["to"]
+                    if type(to) is not list or not to:
+                        raise ValueError("to %r is not a non-empty list"
+                                         % (to,))
+                    span = len(to)
+                    self.sends[_uid(rec["uid"])] += span
+                elif kind in ("insert", "deliver", "history", "append"):
+                    rid = _int(rec["replica"])
+                    if not 1 <= rid <= self.n:
+                        raise ValueError("replica %d is not in 1..%d"
+                                         % (rid, self.n))
+                    if kind == "insert":
+                        vertex = _uid(rec["vertex"])
+                        self.ordered.append((t, 0, rid, vertex, frozenset(
+                            map(_uid, rec["parents"]))))
+                        self.inserted[rid].setdefault(vertex, t)
+                    elif kind == "deliver":
+                        self.delivers[rid][_uid(rec["uid"])] += 1
+                    elif kind == "history":
+                        keep = _int(rec["keep"])
+                        add = tuple(map(_uid, rec["add"]))
+                        h, seen = histories[rid], members[rid]
+                        if not 0 <= keep <= len(h):
+                            raise ValueError("keep %d is not in 0..%d (the "
+                                             "previous length)"
+                                             % (keep, len(h)))
+                        clean = len(seen) == len(h)
+                        revoked = _apply(h, keep, add)
+                        self.revoked[rid].update(revoked)
+                        if clean:
+                            seen.difference_update(revoked)
+                            seen.update(add)
+                        else:       # a repeat in h: only a rebuild is exact
+                            seen.clear()
+                            seen.update(h)
+                        delta = _Delta(t, keep, add, len(seen) != len(h),
+                                       not seen.issuperset(revoked))
+                        self.ordered.append((t, 1, rid,
+                                             len(self.snapshots[rid]), delta))
+                        self.snapshots[rid].append(delta)
+                        self.unseen[rid] += [uid for uid
+                                             in awaiting.pop(rid, ())
+                                             if uid not in seen]
+                    else:
+                        uid = (rid, _int(rec["seq"]))
+                        self.appends[rid].append((t, uid))
+                        awaiting[rid].append(uid)
+                elif kind == "send":
+                    self.sends[_uid(rec["uid"])] += 1
+                elif kind not in ("append_bottom", "crash", "partition_start",
+                                  "partition_end"):  # nothing read but `t`
+                    raise ValueError("unknown event kind %r" % (kind,))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(
                     "trace event %d (t=%r) is malformed: %s %s"
-                    % (pos, ev.get("t") if isinstance(ev, dict) else None,
-                       type(exc).__name__, exc)) from None
+                    % (pos + 1, rec.get("t") if isinstance(rec, dict)
+                       else None, type(exc).__name__, exc)) from None
             if prev_t is not None and t <= prev_t:
                 raise ConfigError("trace event %d has t=%d, not above the "
-                                  "previous event's t=%d" % (pos, t, prev_t))
-            prev_t = t
-            if kind == "send":
-                self.sends[value] += 1
-            elif kind == "append":
-                self.appends[rid].append((t, value))
-                awaiting[rid].append(value)
-            elif kind == "history":
-                h, seen = histories[rid], members[rid]
-                clean = len(seen) == len(h)
-                revoked = _apply(h, *value)
-                self.revoked[rid].update(revoked)
-                if clean:
-                    seen.difference_update(revoked)
-                    seen.update(value[1])
-                else:               # a repeat in h: only a rebuild is exact
-                    seen.clear()
-                    seen.update(h)
-                delta = _Delta(t, *value, len(seen) != len(h),
-                               not seen.issuperset(revoked))
-                self.ordered.append((t, 1, rid, len(self.snapshots[rid]),
-                                     delta))
-                self.snapshots[rid].append(delta)
-                self.unseen[rid] += [uid for uid in awaiting.pop(rid, ())
-                                     if uid not in seen]
-            elif kind == "insert":
-                self.ordered.append((t, 0, rid) + value)
-                self.inserted[rid].setdefault(value[0], t)
-            elif kind == "deliver":
-                self.delivers[rid][value] += 1
+                                  "previous event's t=%d"
+                                  % (pos + 1, t, prev_t))
+            prev_t = t + span - 1
+            pos += span
         for rid, uids in awaiting.items():
             self.unseen[rid] += uids
         # Every correct replica has events, so n is at most the replicas
@@ -187,32 +222,6 @@ class _Digest:
                         if r not in self.crashed]
         # rid -> its last history, for every replica with a snapshot
         self.final = {rid: tuple(h) for rid, h in histories.items()}
-
-    def _decode(self, ev):
-        """(kind, t, replica, fields) of one event, or KeyError, TypeError
-        or ValueError for a missing or malformed field or an unknown kind."""
-        kind, t = ev["kind"], ev["t"]
-        if type(t) is not int:
-            raise TypeError("t %r is not an integer" % (t,))
-        if kind == "send":          # most events are sends
-            return kind, t, None, _uid(ev["uid"])
-        if kind in ("append_bottom", "crash", "partition_start",
-                    "partition_end"):       # nothing read but `t`
-            return kind, t, None, None
-        if kind not in ("append", "history", "insert", "deliver"):
-            raise ValueError("unknown event kind %r" % (kind,))
-        rid = _int(ev["replica"])
-        if not 1 <= rid <= self.n:
-            raise ValueError("replica %d is not in 1..%d" % (rid, self.n))
-        if kind == "append":
-            value = (rid, _int(ev["seq"]))
-        elif kind == "history":
-            value = (_int(ev["keep"]), tuple(map(_uid, ev["add"])))
-        elif kind == "insert":
-            value = (_uid(ev["vertex"]), frozenset(map(_uid, ev["parents"])))
-        else:
-            value = _uid(ev["uid"])
-        return kind, t, rid, value
 
 
 def _digest(trace):

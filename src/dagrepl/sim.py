@@ -18,13 +18,14 @@ append or append_bottom line from a format with the encoder's bytes (an
 append's op text is encoded once, with its workload entry), a crash or
 partition line by the encoder.  A `sends` line (schema 3) is one fan-out
 of the broadcast layer: its n-1 channel sends as `[dst, deliver_at]`
-pairs in the order their delays are drawn, at the steps t, t+1, ...; the
-reader expands it into one `send` event per pair, so a trace's events are
-those of schema 2.  The trace `run` returns is those lines; its events
-are parsed on first read by the reader of a file's lines after its meta,
-which takes any spacing that per-line `json.loads` takes and parses each
-run of lines of the simulator's formats in one call, so that their events
-share their key strings.
+pairs in the order their delays are drawn, at the steps t, t+1, ....
+The checkers read a trace's records, its lines' JSON values; its events,
+with one `send` event per pair, as in schema 2, are built only when read.
+The trace `run` returns is those lines; its records are parsed on first
+read by the reader of a file's lines after its meta, which takes any
+spacing that per-line `json.loads` takes and parses each run of lines of
+the simulator's formats in one call, so that their records share their
+key strings.
 
 Timing model: channel delays are drawn from the seeded RNG as
 `randint(1, delay_max)` draws them (or pinned by an explicit per-message
@@ -168,19 +169,23 @@ def _value(where, number, line):
 
 
 def _read_lines(lines, where, number=0):
-    """The events of the non-blank text lines `lines`, which follow line
-    `number` of `where`: each line's JSON value, but a `sends` value's
-    `send` events in its place.  It takes and refuses exactly the lines
-    that per-line `json.loads` does, and refuses a malformed `sends` line
-    (`_checked_sends`), naming it.  A run of consecutive template lines, at
-    most `_RUN`, is parsed in one call, so that their events share their
-    key strings; any other line ends the run and is parsed by itself."""
-    events, run = [], []
+    """The records of the non-blank text lines `lines`, which follow line
+    `number` of `where`: each line's JSON value, a `sends` value kept
+    whole, each with one string per kind.  It takes and refuses exactly
+    the lines that per-line `json.loads` does, and refuses a malformed
+    `sends` line (`_checked_sends`), naming it.  A run of consecutive
+    template lines, at most `_RUN`, is parsed in one call, so that their
+    records share their key strings; any other line ends the run and is
+    parsed by itself."""
+    records, run = [], []
     template_line = _template_line()
 
     def parse_run():
-        _expand_into(events, json.loads("[%s]" % ",".join(run)))
+        values = json.loads("[%s]" % ",".join(run))
         run.clear()
+        for value in values:
+            value["kind"] = sys.intern(value["kind"])
+        records.extend(values)
 
     for number, line in enumerate(lines, number + 1):
         if template_line(line):
@@ -190,45 +195,40 @@ def _read_lines(lines, where, number=0):
         elif line.strip():
             parse_run()
             value = _value(where, number, line)
-            if type(value) is not dict or type(value.get("kind")) is not str:
-                events.append(value)
-            elif value["kind"] == "sends":
-                events += _checked_sends(where, number, value)
-            else:
-                _expand_into(events, (value,))
+            if type(value) is dict and type(value.get("kind")) is str:
+                value["kind"] = sys.intern(value["kind"])
+                if value["kind"] == "sends":
+                    _checked_sends(where, number, value)
+            records.append(value)
     parse_run()
+    return records
+
+
+def _expand(records):
+    """The events of the reader's `records`: each `sends` record replaced
+    by its `send` events, the channel send of its i-th [dst, deliver_at]
+    pair at step t + i, which share the record's uid list.  It empties
+    `records` as it goes, so that a record is freed once it is expanded."""
+    events = []
+    for i, ev in enumerate(records):
+        records[i] = None
+        if type(ev) is not dict or ev.get("kind") != "sends":
+            events.append(ev)
+            continue
+        at, src, t, uid = ev["at"], ev["src"], ev["t"], ev["uid"]
+        events += [{"at": at, "deliver_at": deliver_at, "dst": dst,
+                    "kind": "send", "src": src, "t": t + k, "uid": uid}
+                   for k, (dst, deliver_at) in enumerate(ev["to"])]
     return events
 
 
-def _expand_into(events, values):
-    """Append `values`, dicts with a string `kind`, to `events`, each
-    `sends` value as its `send` events, and each with one string per kind,
-    not one per event."""
-    for value in values:
-        kind = value["kind"] = sys.intern(value["kind"])
-        if kind == "sends":
-            events += _sends(value)
-        else:
-            events.append(value)
-
-
-def _sends(ev):
-    """The `send` events of a well-formed `sends` event: the channel send
-    of its i-th [dst, deliver_at] pair at step t + i.  They share the
-    event's uid list."""
-    at, src, t, uid = ev["at"], ev["src"], ev["t"], ev["uid"]
-    return [{"at": at, "deliver_at": deliver_at, "dst": dst, "kind": "send",
-             "src": src, "t": t + i, "uid": uid}
-            for i, (dst, deliver_at) in enumerate(ev["to"])]
-
-
 def _checked_sends(where, number, ev):
-    """`_sends(ev)` of the `sends` value of line `number` of `where`;
-    ConfigError names the line for a missing field, a `t` that is not an
-    integer, a `to` that is not a list of one or more [dst, deliver_at]
-    lists, or a `uid` that is not a 2-item list.  The simulator never
-    writes an empty `to`: a fan-out to no replica is no line, and a line
-    takes one step per pair."""
+    """Check the `sends` value of line `number` of `where`: ConfigError
+    names the line for a missing field, a `t` that is not an integer, a
+    `to` that is not a list of one or more [dst, deliver_at] lists, or a
+    `uid` that is not a 2-item list.  The simulator never writes an empty
+    `to`: a fan-out to no replica is no line, and a line takes one step
+    per pair."""
     try:
         t, to, uid = ev["t"], ev["to"], ev["uid"]
         if type(t) is not int:
@@ -239,7 +239,9 @@ def _checked_sends(where, number, ev):
                              "[dst, deliver_at] pairs" % (to,))
         if type(uid) is not list or len(uid) != 2:
             raise ValueError("uid %r is not a pair" % (uid,))
-        return _sends(ev)
+        for key in ("at", "src"):       # `_expand` reads them too
+            if key not in ev:
+                raise KeyError(key)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("%s: line %d is a malformed sends line: %s %s"
                           % (where, number, type(exc).__name__, exc)) from None
@@ -305,42 +307,52 @@ def _pairs(uids):
 
 
 class Trace:
-    """The meta line and the events of a run.  A trace from `run` is the
-    simulator's lines, which `to_jsonl` writes as they are, until `events`
-    is first read and parses them; from then on it is only the events, and
-    `to_jsonl` encodes them, so that edited events are written as edited."""
+    """The meta line and the events of a run, held as the simulator's
+    lines (from `run`), then as records (from a file, or once `records` is
+    read), then as events (once `events` is read or set), each form
+    replacing the one before.  `records`, the checkers' input, are the
+    events once there are events.  `to_jsonl` writes the lines as they
+    are, else encodes the records: a file's bytes come back, and edited
+    events are written as edited."""
 
     def __init__(self, meta, events):
         self.meta = meta
         self.events = events
 
     @classmethod
-    def _of_lines(cls, meta, lines):
+    def _of(cls, meta, lines=None, records=None):
         trace = cls(meta, None)
-        trace._lines = lines
+        trace._lines, trace._records = lines, records
         return trace
 
     @property
-    def events(self):
+    def records(self):
         if self._lines is not None:
-            self._events, self._lines = _read_lines(self._lines, "run"), None
+            self._records, self._lines = _read_lines(self._lines, "run"), None
+        return self._events if self._records is None else self._records
+
+    @property
+    def events(self):
+        if self._events is None:
+            self._events, self._records = _expand(self.records), None
         return self._events
 
     @events.setter
     def events(self, events):
-        self._events, self._lines = events, None
+        self._events, self._records, self._lines = events, None, None
 
     def to_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_encode(self.meta) + "\n")
             fh.writelines(self._lines if self._lines is not None else
-                          (_encode(ev) + "\n" for ev in self._events))
+                          (_encode(record) + "\n" for record in self.records))
 
     @classmethod
     def from_jsonl(cls, path):
-        """The trace in file `path`.  Its meta, the first non-blank line, is
-        checked before the other lines are read: ConfigError for a file that
-        is not a trace or a trace of another schema."""
+        """The trace in file `path`, as records.  Its meta, the first
+        non-blank line, is checked before the other lines are read:
+        ConfigError for a file that is not a trace or a trace of another
+        schema."""
         with open(path, encoding="utf-8") as fh:
             try:
                 meta = None
@@ -356,7 +368,7 @@ class Trace:
                     raise ConfigError("%s: trace schema %r, not %d; record "
                                       "the trace again"
                                       % (path, meta["schema"], TRACE_SCHEMA))
-                return cls(meta, _read_lines(fh, path, number))
+                return cls._of(meta, records=_read_lines(fh, path, number))
             except UnicodeDecodeError as exc:
                 raise ConfigError("%s is not UTF-8 text (%s)"
                                   % (path, exc)) from None
@@ -665,7 +677,7 @@ class _Sim:
         # the broadcast layer and the replicas call back into the sim; drop
         # them so that the run is freed with the sim, not by a collection
         del self.rb, self.replicas
-        return Trace._of_lines(meta, self.lines)
+        return Trace._of(meta, lines=self.lines)
 
 
 def run(scenario: Scenario) -> Trace:

@@ -75,14 +75,19 @@ def test_check_peak_per_command_grows_only_by_the_masks(tmp_path, recon):
         "x%.3f, above x1.2" % (recon, small, large, ratio))
 
 
-def _trace_bytes_per_command(tmp_path, n, commands=600):
-    """The bytes of a written `continuous` bfs trace at n replicas, with
-    the final flush, per command."""
+def _written_at_n(tmp_path, n, commands=600):
+    """The path of a written `continuous` bfs trace at n replicas, with the
+    final flush."""
     scenario = continuous_scenario(0, "bfs", commands=commands, n=n)
     scenario.quiescence_flush = True
     path = tmp_path / ("n%d.jsonl" % n)
     run(scenario).to_jsonl(path)
-    return path.stat().st_size / commands
+    return path
+
+
+def _trace_bytes_per_command(tmp_path, n, commands=600):
+    """The bytes of that trace per command."""
+    return _written_at_n(tmp_path, n, commands).stat().st_size / commands
 
 
 # Eager reliable broadcast makes n(n-1) channel sends per command, n fan-outs
@@ -98,3 +103,26 @@ def test_trace_bytes_per_command_grow_about_linearly_in_n(tmp_path):
     assert ratio <= 2.5, (
         "trace %.0f B/cmd at n=3, %.0f B/cmd at n=6: x%.3f, above x2.5"
         % (small, large, ratio))
+
+
+def _check_peak_per_command_at_n(tmp_path, n, commands=600):
+    """The tracemalloc peak of reading that trace and checking it, in bytes
+    per command."""
+    path = _written_at_n(tmp_path, n, commands)
+    return _peak(lambda: run_all_checks(Trace.from_jsonl(path))) / commands
+
+
+# The checker reads a fan-out as one `sends` record and counts its pairs,
+# so that its memory per command grows about linearly with n.  The terms
+# the bound allows are the DAG `check_safety` rebuilds for each of the n
+# replicas, and one `[dst,at]` pair per channel send in the records' `to`
+# lists.  From n = 3 to 6 the peak per command grows x2.06, from 10.6 to
+# 21.9 kB on Python 3.11; a `send` dict per channel send gave x2.42 (10.7
+# to 26.0 kB), which fails.  The two runs and their checks take about 2 s.
+def test_check_peak_per_command_grows_about_linearly_in_n(tmp_path):
+    small = _check_peak_per_command_at_n(tmp_path, 3)
+    large = _check_peak_per_command_at_n(tmp_path, 6)
+    ratio = large / small
+    assert ratio <= 2.25, (
+        "check peak %.0f B/cmd at n=3, %.0f B/cmd at n=6: x%.3f, above "
+        "x2.25" % (small, large, ratio))

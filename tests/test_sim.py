@@ -314,9 +314,10 @@ def _per_line_json_loads(path):
 
 
 def _read(path):
-    """The trace reader on every line of `path`, a meta line or none."""
+    """The trace reader on every line of `path`, a meta line or none, with
+    its records expanded into events as `Trace.events` expands them."""
     with open(path, encoding="utf-8") as fh:
-        return sim._read_lines(fh, path)
+        return sim._expand(sim._read_lines(fh, path))
 
 
 def _expanded(values):

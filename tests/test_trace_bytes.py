@@ -18,6 +18,7 @@ import tempfile
 
 import pytest
 
+from dagrepl.checks import _Digest
 from dagrepl.scenarios import continuous_scenario, fig1_scenario, \
     random_scenario, starvation_scenario
 from dagrepl.sim import Scenario, Trace, _encode, run
@@ -83,6 +84,26 @@ def test_events_are_schema_2s_events():
     # the send events that a run's sends lines expand into, and every
     # other event, are byte for byte the lines schema 2 wrote
     assert _schema_2_digests() == json.loads(EVENTS_FIXTURE.read_text())
+
+
+def test_a_read_trace_writes_its_file_back(tmp_path):
+    # a trace read from a file holds its records, the encoder's values of
+    # its lines, until its events are read, also through the checkers'
+    # digest; a run's lines, once read as records, write back the same
+    # bytes
+    path, again = tmp_path / "t.jsonl", tmp_path / "w.jsonl"
+    for name, sc in _scenarios():
+        trace = run(sc)
+        trace.to_jsonl(path)
+        data = path.read_bytes()
+        read = Trace.from_jsonl(path)
+        read.to_jsonl(again)
+        assert again.read_bytes() == data, name
+        _Digest(read)
+        assert trace.records
+        for written in (read, trace):
+            written.to_jsonl(again)
+            assert again.read_bytes() == data, name
 
 
 def _change_a_field(trace):
