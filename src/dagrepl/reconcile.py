@@ -18,9 +18,9 @@ part of one leader's causal past, then a leftover batch, each batch in
 `level_key` order (`_batches`).  f_bfs is the case with no leaders.  Each
 carries a leader scan, `recon.scan(dag)`, which holds the leaders' past
 masks in `leaders` and accounts for each vertex inserted into the DAG in
-`insert(v)`: f_bfs's finds none, and f_fair's, `_LeaderScan`, resumes
-`fair_leaders` as the DAG grows.  The trace checker keeps one scan per
-replica to verify a history without expanding a batch.
+`insert(v)`: f_bfs's finds none, and f_fair's, `_LeaderScan`, keeps
+`fair_leaders` in O(issuers) per vertex.  The trace checker keeps one
+scan per replica to verify a history without expanding a batch.
 
 A replica does not rerun its reconciler on every change.  It opens a
 session, `open_session(recon, dag)`, over its DAG.  After each
@@ -54,27 +54,30 @@ def f_bfs(dag: CommandDag):
     return topo_sort(dag, dag.commands())
 
 
-def _scan(procs, chains, past, leaders, rnd, rr, ptr, misses, saved):
-    """Run f_fair's round-robin leader scan from round `rnd` to its end,
-    appending the leaders' past masks to `leaders`.
+def _scan(dag: CommandDag):
+    """f_fair's round-robin leader scan of `dag`: the leaders' past masks,
+    and issuer -> `(round, leaders before it)` of its first miss round.
 
-    The issuer pointer `rr` cycles over `procs`, the DAG's issuer ids,
-    ascending; `chains` and `past` are the DAG's `chains()` and
-    `past_masks()`.  A vertex v qualifies as a leader when v is not yet
-    ordered and past(v) covers the sequence built so far, which is the
-    last leader's past: down-closed, and past(v) holds v, so v qualifies
-    iff its mask p strictly contains the last mask s,
-    `s | p == p != s`.  The smallest qualifying sequence number wins; the
-    scan stops after a full cycle with no qualifying issuer.  The built
-    sequence only grows, so a vertex that is ordered or fails the test
-    never qualifies later, and the scan pointers `ptr` only move forward.
-    `saved` maps each issuer to the state `(round, len(leaders), rr, ptr,
-    misses)` at the start of its first miss round, one whose scan reaches
-    the end of its chain; an issuer already in `saved` keeps its entry.
+    Round r visits the r-th issuer, counted cyclically in ascending id
+    order.  A vertex v qualifies as a leader when v is not yet ordered and
+    past(v) covers the sequence built so far, which is the last leader's
+    past: down-closed, and past(v) holds v, so v qualifies iff its mask p
+    strictly contains the last mask s, `s | p == p != s`.  The smallest
+    qualifying sequence number wins; the scan stops after a full cycle
+    with no qualifying issuer.  The built sequence only grows, so a vertex
+    that is ordered or fails the test never qualifies later, and each
+    issuer's chain pointer `ptr` only moves forward.  A miss round is one
+    whose scan reaches the end of the chain, so every later round of its
+    issuer misses too.
     """
+    chains, past = dag.chains(), dag.past_masks()
+    procs = sorted(chains)
     count = len(procs)
-    seq_mask = leaders[-1] if leaders else 0
+    leaders, saved = [], {}
+    ptr = [0] * count
+    seq_mask = rnd = misses = 0
     while misses < count:
+        rr = rnd % count
         chain = chains[procs[rr]]
         for k in range(ptr[rr], len(chain)):
             p = past[chain[k]]
@@ -86,29 +89,26 @@ def _scan(procs, chains, past, leaders, rnd, rr, ptr, misses, saved):
                 break
         else:
             if procs[rr] not in saved:
-                saved[procs[rr]] = (rnd, len(leaders), rr, list(ptr), misses)
+                saved[procs[rr]] = (rnd, len(leaders))
             ptr[rr] = len(chain)
             misses += 1
-        rr = (rr + 1) % count
         rnd += 1
+    return leaders, saved
 
 
 def fair_leaders(dag: CommandDag):
     """The past masks of f_fair's leaders, in the order it picks them: the
     scan from round 0, with the issuer pointer at the smallest id."""
-    return _LeaderScan(dag).leaders
+    return _scan(dag)[0]
 
 
-def _batches(dag: CommandDag, leaders, count):
-    """The batches of the leader masks `leaders` from index `count` on,
-    then the leftover batch: the history from position
-    `leaders[count - 1].bit_count()` on (from 0 when `count` is 0).  A
-    leader's batch is the part of its past not in the previous leader's,
+def _batches(dag: CommandDag, leaders):
+    """The batches of the leader masks `leaders`, then the leftover batch.
+    A leader's batch is the part of its past not in the previous leader's,
     sorted by `level_key`; the leftover batch is every other DAG member,
     sorted the same way."""
-    seq = []
-    seq_mask = leaders[count - 1] if count else 0
-    for p in leaders[count:] + [dag.all_mask()]:
+    seq, seq_mask = [], 0
+    for p in leaders + [dag.all_mask()]:
         seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
         seq_mask = p
     return seq
@@ -122,7 +122,7 @@ def f_fair(dag: CommandDag):
     follow in one last batch.  Batch k thus ends at position
     `|past(leader_k)|`, and every batch is sorted by `level_key`.
     """
-    return _batches(dag, fair_leaders(dag), 0)
+    return _batches(dag, fair_leaders(dag))
 
 
 def f_lifo(dag: CommandDag):
@@ -141,26 +141,22 @@ class _NoLeaders:
 
 
 class _LeaderScan:
-    """`fair_leaders` over a growing DAG, resumed from the one round a new
-    vertex can change.
+    """`fair_leaders` over a growing DAG, kept in O(issuers) per new vertex.
 
     A new vertex v is childless, so it is in no other vertex's past.  When
     v is last in its issuer i's chain, only a scan that reaches the end of
-    i's chain can see it, and after i's first miss round (see `_scan`)
-    every round of i misses.  Every earlier round runs as before.  In that
-    first miss round v leads iff past(v) covers the sequence built so far.
-    If it does, `_scan` resumes from the state saved at the start of that
-    round.  If not, v fails the coverage test in every later round too,
-    because the built sequence only grows, so no round changes.  A first
-    vertex of a new issuer changes the rotation, so the scan reruns from
-    round 0; that happens once per issuer.  So does a vertex inserted
-    before the end of its chain, which the protocol's causal chains never
-    allow but a DAG rebuilt from a hostile trace may hold: the scan is
-    exact for any insertion order.
-
-    Saved states of later rounds may hold a scan pointer to i that stops
-    short of such a non-leading v.  Resuming from one rescans v, which
-    fails again, so the result is the same.
+    i's chain can see it: i's first miss round r (see `_scan`) and i's
+    later rounds.  Every round before r runs as before.  In round r, v
+    leads iff past(v) covers the sequence built so far.  If not, v fails
+    the coverage test in every later round too, because the built
+    sequence only grows, so no round changes.  If it does, v is the last
+    leader: no other vertex's past holds past(v), so each of the next n
+    rounds misses, and each issuer whose first miss round was r or later
+    first misses in one of them.  A first vertex of a new issuer changes
+    the rotation, so the scan reruns from round 0; that happens once per
+    issuer.  So does a vertex inserted before the end of its chain, which
+    the protocol's causal chains never allow but a DAG rebuilt from a
+    hostile trace may hold: the scan is exact for any insertion order.
     """
 
     def __init__(self, dag: CommandDag):
@@ -169,42 +165,41 @@ class _LeaderScan:
 
     def insert(self, v):
         """Account for `v`, just inserted into the DAG; returns the index of
-        the first leader that changed, or None when no leader changed.
-        A rerun from round 0 rebinds `leaders`."""
-        dag = self._dag
-        start = self._saved.get(v.issuer)
+        the first leader that changed, or None when no leader changed.  A
+        positive index k means v is now the last leader, after leader
+        k - 1; a rerun from round 0 returns 0 and rebinds `leaders`."""
+        dag, saved = self._dag, self._saved
+        start = saved.get(v.issuer)
         if start is None or dag.chains()[v.issuer][-1] is not v:
             self._restart()
             return 0
-        # rr, the issuer pointer in v's issuer's first miss round, points
-        # at that issuer
-        rnd, count, rr, ptr, misses = start
-        if count and self.leaders[count - 1] & ~dag.past_masks()[v]:
+        rnd, count = start
+        p = dag.past_masks()[v]
+        if count and self.leaders[count - 1] & ~p:
             return None
         del self.leaders[count:]
-        self._saved = {j: s for j, s in self._saved.items() if s[0] < rnd}
-        _scan(self._procs, dag.chains(), dag.past_masks(), self.leaders,
-              rnd, rr, list(ptr), misses, self._saved)
+        self.leaders.append(p)
+        n = len(saved)          # round rnd + n visits v's issuer again
+        for j, (r, _) in saved.items():
+            if r >= rnd:
+                saved[j] = (rnd + (r - rnd - 1) % n + 1, count + 1)
         return count
 
     def _restart(self):
-        dag = self._dag
-        self._procs = sorted(dag.chains())
-        self.leaders = []      # fair_leaders(dag)
-        self._saved = {}       # issuer -> its `_scan` state; all have one
-        _scan(self._procs, dag.chains(), dag.past_masks(), self.leaders,
-              0, 0, [0] * len(self._procs), 0, self._saved)
+        self.leaders, self._saved = _scan(self._dag)
 
 
 class _BatchOrder:
     """The session of a reconciler with a leader scan: the batches of the
-    scan's leaders and the leftover batch, rebuilt from the first leader
-    that changed, or joined by bisection by a vertex that changes none."""
+    scan's leaders and the leftover batch.  A vertex that changes no leader
+    joins the leftover batch by bisection, a new last leader splits the
+    batches after the one before it, and a rerun of the scan rebuilds all."""
 
     def __init__(self, dag: CommandDag, scan):
         self._dag = dag
         self._scan = scan
-        self.history = _batches(dag, scan.leaders, 0)
+        self.history = _batches(dag, scan.leaders)
+        self._built = len(scan.leaders)     # leaders `history` has batches of
 
     def insert(self, v):
         """Account for `v`, just inserted into the DAG; returns the first
@@ -221,11 +216,26 @@ class _BatchOrder:
             self.history = new = old.copy()
             new.insert(pos, v)
             return pos
-        pos = leaders[count - 1].bit_count() if count else 0
-        self.history = new = old[:pos] + _batches(dag, leaders, count)
-        # A rebuild rewrites the history from `pos`, but often only appends
-        # to it: v's leader round tends to take over the old leftover batch.
-        end = min(len(old), len(new))
+        if count:
+            # v's batch is the tail's members in past(v), then v, whose dist
+            # tops its past.  Filtering keeps a leftover batch's order; the
+            # batches of dropped leaders are sorted again as `_batches` does.
+            pos, p = leaders[count - 1].bit_count(), leaders[-1]
+            past = dag.past_masks()
+            ins, out = [], []
+            for u in old[pos:]:
+                (ins if past[u] | p == p else out).append(u)
+            if self._built > count:
+                for part in ins, out:
+                    part.sort(key=past.__getitem__)
+                    part.sort(key=dag._key.__getitem__)
+            new = old[:pos]
+            new += ins + [v] + out      # one copy of the long kept prefix
+        else:
+            pos, new = 0, _batches(dag, leaders)
+        self.history = new
+        self._built = len(leaders)
+        end = len(old)      # the new history has one command more
         while pos < end and old[pos] is new[pos]:
             pos += 1
         return pos

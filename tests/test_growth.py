@@ -10,9 +10,11 @@ that rise faster than n.
 
 import gc
 import tracemalloc
+from collections import Counter
 
 import pytest
 
+from dagrepl import reconcile
 from dagrepl.checks import run_all_checks
 from dagrepl.scenarios import continuous_scenario
 from dagrepl.sim import Trace, run
@@ -73,6 +75,29 @@ def test_check_peak_per_command_grows_only_by_the_masks(tmp_path, recon):
     assert ratio <= 1.2, (
         "%s: check peak %.0f B/cmd at N=300, %.0f B/cmd at N=1200: "
         "x%.3f, above x1.2" % (recon, small, large, ratio))
+
+
+# A fair session reruns its leader scan from round 0, and rebuilds its
+# batches, only for a new issuer: n(n + 1) scans in all, counting each
+# replica's scan of its empty DAG.  A scan resumed by walking the issuers'
+# chains made about two per command.
+@pytest.mark.parametrize("commands", [500, 2000])
+def test_fair_sim_scans_from_round_0_once_per_issuer(monkeypatch, commands):
+    calls = Counter()
+
+    def count(name):
+        real = getattr(reconcile, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(reconcile, name, counted)
+    count("_scan")
+    count("_batches")
+    scenario = continuous_scenario(0, "fair", commands=commands)
+    run(scenario)
+    n = scenario.n
+    assert calls["_batches"] <= calls["_scan"] <= n * (n + 1), calls
 
 
 def _written_at_n(tmp_path, n, commands=600):

@@ -57,8 +57,10 @@ def _scan_paths(whole, order):
     returns, all of them for None.  A session of f_bfs and one of f_fair
     see the same inserts; each must hold its reconciler's history and
     return exactly the length of the common prefix with its previous
-    one.  Returns a Counter of the paths taken: "none", "resumed" (a
-    positive index), "new issuer", "out of order"."""
+    one.  The scan's saved state must equal a fresh scan's.  Returns a
+    Counter of the paths taken: "none", "resumed" (a positive index),
+    "new issuer", "out of order", and of the resumes "split" (v leads
+    after every old leader) and "merged" (later leaders were dropped)."""
     dag = CommandDag()
     scan = _LeaderScan(dag)
     sessions = {recon: open_session(recon, dag) for recon in (f_bfs, f_fair)}
@@ -70,6 +72,7 @@ def _scan_paths(whole, order):
         out_of_order = dag.chains()[v.issuer][-1] is not v
         k = scan.insert(v)
         assert scan.leaders == fair_leaders(dag)
+        assert scan._saved == _LeaderScan(dag)._saved
         assert keys(f_fair(dag)) == keys(oracle_f_fair(dag))
         for recon, session in sessions.items():
             previous = session.history
@@ -89,6 +92,7 @@ def _scan_paths(whole, order):
             paths["none"] += 1
         elif k:
             paths["resumed"] += 1
+            paths["split" if k == len(old) else "merged"] += 1
     return paths
 
 
@@ -115,6 +119,7 @@ def test_leader_scan_matches_from_scratch_on_shuffled_deliveries():
         paths += _scan_paths(dag, _parents_first(rng, dag))
     assert paths["out of order"] == 0
     assert min(paths["none"], paths["resumed"], paths["new issuer"]) > 50
+    assert min(paths["split"], paths["merged"]) > 50
 
 
 def test_leader_scan_matches_from_scratch_out_of_order():
@@ -129,6 +134,24 @@ def test_leader_scan_matches_from_scratch_out_of_order():
     pinned = _scan_paths(dag, dag.commands())
     assert pinned["out of order"] == 3
     assert min(paths["none"], paths["resumed"], paths["out of order"]) > 50
+
+
+# Outside the protocol: two (2, 13)s at one distance.  (1, 10) leads with
+# the later one in its batch; (2, 15) then drops that leader, and the two
+# must meet again in insertion order.
+EQUAL_KEYS_DAG = """
+1 3 push 0 : eps
+2 13 push 1 : eps
+2 13 push 2 : eps
+1 10 push 3 : 1.3 2.13
+2 15 push 4 : 1.3
+"""
+
+
+def test_merged_batches_keep_insertion_order_among_equal_keys():
+    dag = parse_dag(EQUAL_KEYS_DAG)
+    assert _scan_paths(dag, dag.commands())["merged"] == 1
+    assert [c.op[1] for c in f_fair(dag)] == [0, 4, 1, 2, 3]
 
 
 def test_fig1_lifo_order(fig1_dag):
