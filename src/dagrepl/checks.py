@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .dag import Command, CommandDag, DagError, EPSILON, level_key
 from .reconcile import get_reconciler
-from .sim import ConfigError, _is_int, resolve
+from .sim import ConfigError, _INT_BOUND, _is_int, resolve
 
 # meta fields the checkers read: key path, what it must be, and the test
 _META_FIELDS = (
@@ -88,17 +88,18 @@ class _Digest:
     it reads as the trace's records (`Trace.records`), decoding each once,
     by kind: a `sends` record counts as the `send` events it expands
     into, and a `send` event as one.  It requires the meta fields it reads
-    (`_META_FIELDS`), strictly increasing `t` and well-formed fields, with
-    each `keep` between 0 and the replica's previous history length and a
-    non-empty `to` list in a `sends` record, raising ConfigError that
-    names the offending field or event otherwise, an event by its number
-    among the expanded events, so the checkers trust what it records.  It
-    also requires each replica in 1..n to be crashed or named by an event,
-    so that a hostile n cannot size the checkers' work, and resolves the
-    meta's reconciler name, raising ConfigError for an unknown one.  It
-    keeps each replica's current history as a list and a uid set, records
-    per snapshot the facts that need the set, and per replica the
-    revocation and delivery counts and first insert steps.
+    (`_META_FIELDS`), strictly increasing `t`s of at most 18 digits and
+    well-formed fields, with each `keep` between 0 and the replica's
+    previous history length and a non-empty `to` list in a `sends` record,
+    raising ConfigError that names the offending field or event otherwise,
+    an event by its number among the expanded events, so the checkers
+    trust what it records.  It also requires each replica in 1..n to be
+    crashed or named by an event, so that a hostile n cannot size the
+    checkers' work, and resolves the meta's reconciler name, raising
+    ConfigError for an unknown one.  It keeps each replica's current
+    history as a list and a uid set, records per snapshot the facts that
+    need the set, and per replica the revocation and delivery counts and
+    first insert steps.
     """
 
     def __init__(self, trace):
@@ -143,6 +144,10 @@ class _Digest:
                 kind, t = rec["kind"], rec["t"]
                 if type(t) is not int:
                     raise TypeError("t %r is not an integer" % (t,))
+                # before any message below shows t
+                if not -_INT_BOUND < t < _INT_BOUND:
+                    raise ConfigError("trace event %d has a t of more than "
+                                      "18 digits" % (pos + 1))
                 if kind == "sends":     # one fan-out: most channel sends
                     to = rec["to"]
                     if type(to) is not list or not to:
@@ -505,7 +510,7 @@ def check_safety(trace):
             verified[rid] = min(verified[rid], pos)
         # Equal parent sets at every replica imply, by induction over
         # insertion order, equal causal pasts.
-        dv = dag.dist(v)
+        dv = level_key(dag, v)[0]
         first_parents, first_dist = first.setdefault(uid, (parents, dv))
         if first_parents != parents:
             problems["past_immutability"].append(

@@ -138,12 +138,6 @@ class CommandDag:
             return frozenset({EPSILON})
         return frozenset(self._childless)
 
-    def dist(self, v) -> int:
-        return 0 if v is EPSILON else level_key(self, v)[0]
-
-    def all_mask(self) -> int:
-        return (1 << len(self._order)) - 1
-
     def expand_mask(self, mask: int):
         """Commands whose bits are set, in insertion-index order."""
         # bin() lists the bits most significant first; reversed and mapped
@@ -151,13 +145,6 @@ class CommandDag:
         # Python-level loop, which matters for sparse and dense masks alike.
         flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
         return list(compress(self._order, flags))
-
-    def past(self, v):
-        """v plus every vertex with a path to v; EPSILON is excluded."""
-        try:
-            return set(self.expand_mask(self._past[v]))
-        except KeyError:
-            raise UnknownVertex(repr(v)) from None
 
 
 def level_key(dag: CommandDag, c):

@@ -108,7 +108,7 @@ def _batches(dag: CommandDag, leaders):
     sorted by `level_key`; the leftover batch is every other DAG member,
     sorted the same way."""
     seq, seq_mask = [], 0
-    for p in leaders + [dag.all_mask()]:
+    for p in leaders + [(1 << len(dag)) - 1]:
         seq.extend(topo_sort(dag, dag.expand_mask(p & ~seq_mask)))
         seq_mask = p
     return seq

@@ -23,7 +23,7 @@ from collections import deque
 from operator import attrgetter
 
 from .broadcast import BroadcastMessage
-from .dag import Command, CommandDag, EPSILON
+from .dag import Command, CommandDag
 from .datatype import BOTTOM, DataTypeSpec, replay
 from .reconcile import open_session
 
@@ -121,8 +121,7 @@ class Replica:
     def _missing_parent(self, parents):
         """The missing parent with the least uid, or None; the first one
         found would follow the hash seed, and so would the trace."""
-        missing = [p for p in parents
-                   if p is not EPSILON and p not in self.dag]
+        missing = [p for p in parents if p not in self.dag]
         return min(missing, key=_uid) if missing else None
 
     def _insert(self, v: Command, parents):

@@ -153,6 +153,17 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# Every integer of a scenario, and every `t` the checkers read, has at most
+# 18 digits, as the reader's canonical int (`_INT`) does: sums of such
+# times stay far below the int digit limit, past which `%d` and `repr`
+# raise ValueError.
+_INT_BOUND = 10**18
+
+
+def _bounded_int(x):
+    return _is_int(x) and -_INT_BOUND < x < _INT_BOUND
+
+
 # One encoder for every line: compact JSON with sorted keys, so a trace
 # file is deterministic bytes.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -389,7 +400,27 @@ def full_histories(events):
 
 def _need(ok, what, value):
     if not ok:
-        raise ConfigError("%s, not %r" % (what, value))
+        raise ConfigError("%s, not %s" % (what, _shown(value)))
+
+
+def _shown(value):
+    """`value` as an error message names it: its repr, unless it is or
+    holds an int of more than 18 digits, which may be past the digit
+    limit of `repr`."""
+    if not _oversized(value):
+        return repr(value)
+    return "%s of more than 18 digits" % (
+        "an integer" if _is_int(value) else "a value holding an integer")
+
+
+def _oversized(value):
+    """Whether `value` is an int of more than 18 digits or holds one in a
+    list, tuple, set or dict."""
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return any(map(_oversized, value))
+    if isinstance(value, dict):
+        return any(map(_oversized, value.items()))
+    return _is_int(value) and not _bounded_int(value)
 
 
 def resolve(lookup, what, name):
@@ -413,7 +444,7 @@ def _validate(sc: Scenario):
     field of `sc`."""
     for name, least in (("n", 1), ("delay_max", 1), ("snapshot_every", 1)):
         value = getattr(sc, name)
-        _need(_is_int(value) and value >= least,
+        _need(_bounded_int(value) and value >= least,
               "%s must be an integer >= %d" % (name, least), value)
     _need(isinstance(sc.workload, (list, tuple)), "workload must be a list",
           sc.workload)
@@ -425,7 +456,7 @@ def _validate(sc: Scenario):
         raise ConfigError("n = %d and a workload of %d make up to %d "
                           "channel sends, over the budget of %d"
                           % (sc.n, len(sc.workload), sends, _SEND_BUDGET))
-    _need(_is_int(sc.seed), "seed must be an integer", sc.seed)
+    _need(_bounded_int(sc.seed), "seed must be an integer", sc.seed)
     _need(isinstance(sc.quiescence_flush, bool),
           "quiescence_flush must be a boolean", sc.quiescence_flush)
     spec = resolve(get_datatype, "datatype", sc.datatype)
@@ -438,7 +469,7 @@ def _validate(sc: Scenario):
     # ("push", 1.0) are written as they were given
     op_texts = []
     for t, r, op in sc.workload:
-        _need(_is_int(t) and t >= 0, "a workload time must be an integer "
+        _need(_bounded_int(t) and t >= 0, "a workload time must be an integer "
               ">= 0", t)
         _need(replica(r), "a workload replica must be in 1..%d" % sc.n, r)
         try:
@@ -446,24 +477,26 @@ def _validate(sc: Scenario):
             spec.step(spec.initial_state, op)
             op_texts.append(_encode(op))
         except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError("workload op %r fails on %s (%s)"
-                              % (op, spec.name, exc)) from None
+            raise ConfigError("workload op %s fails on %s (%s)"
+                              % (_shown(op), spec.name, exc)) from None
     for c in sc.crashes:
         _need(isinstance(c, (tuple, list)) and len(c) == 2 and replica(c[0])
-              and _is_int(c[1]), "a crash must be [replica, integer time]", c)
+              and _bounded_int(c[1]),
+              "a crash must be [replica, integer time]", c)
     for p in sc.partitions:
         _need(isinstance(p, Partition), "a partition must be a Partition", p)
         for link in p.links:
             _need(isinstance(link, (tuple, list)) and len(link) == 2
                   and all(map(replica, link)), "a partition link must be "
                   "a pair of replicas in 1..%d" % sc.n, link)
-        _need(_is_int(p.start) and _is_int(p.end) and p.start < p.end,
+        _need(_bounded_int(p.start) and _bounded_int(p.end)
+              and p.start < p.end,
               "a partition needs integers start < end", [p.start, p.end])
     _need(sc.deliveries is None or isinstance(sc.deliveries, dict),
           "deliveries must be a dict or None", sc.deliveries)
     for key, t in (sc.deliveries or {}).items():
         _need(isinstance(key, tuple) and len(key) == 3
-              and all(map(_is_int, (*key, t))),
+              and all(map(_bounded_int, (*key, t))),
               "a delivery must be four integers", (key, t))
     if sc.deliveries is not None and sc.partitions:
         raise ConfigError("a scenario with deliveries cannot have partitions:"

@@ -347,6 +347,30 @@ def test_hostile_trace_line_is_usage_error_naming_it(capsys, tmp_path, line):
     assert "line 4 is not JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, edit", [
+    ("sends", {"t": int("9" * 4300)}), ("sends", {"t": 10**18}),
+    ("sends", {"t": -10**18}), ("insert", {"t": 10**18, "vertex": "x"}),
+], ids=["at_digit_limit", "19_digits", "negative", "malformed_record"])
+def test_step_of_more_than_18_digits_is_usage_error(capsys, tmp_path, kind,
+                                                    edit):
+    # the last step of a sends record at the digit limit has one digit
+    # more, which no message could print; the t of a record is checked
+    # before its other fields, whose message shows the t
+    path = _fig1_trace(tmp_path)
+    lines = path.read_text().splitlines()
+    number = next(i for i, line in enumerate(lines, 1)
+                  if '"kind":"%s"' % kind in line)
+    ev = json.loads(lines[number - 1])
+    ev.update(edit)
+    lines[number - 1] = json.dumps(ev)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path)]) == 2
+    # the meta is line 1, and every line before the record is one event
+    assert capsys.readouterr().err == ("error: trace event %d has a t of "
+                                       "more than 18 digits\n" % (number - 1))
+
+
 @pytest.mark.parametrize("edit", [
     {"t": None}, {"t": "5"}, {"t": True}, {"t": 1.5},
     {"to": None}, {"to": "x"}, {"to": {}}, {"to": []}, {"to": [[2]]},
@@ -504,13 +528,18 @@ def test_unknown_datatype_is_usage_error(capsys, tmp_path):
     (("snapshot_evry",), 0, "'snapshot_evry'"),
     (("recon",), ["bfs"], "recon"),
     (("deliveries",), [[2, 1, 1, 5]], "partitions"),
+    (("workload", 0, 0), int("9" * 4300), "error: a workload time"),
+    (("n",), int("9" * 4300), "error: n must"),
+    (("delay_max",), int("9" * 4300), "error: delay_max"),
+    (("partitions", 0, "end"), int("9" * 4300), "error: a partition"),
 ], ids=["string_n", "string_snapshot_every", "string_workload_time",
         "string_workload_replica", "string_crash_time",
         "string_partition_start", "list_seed", "zero_delay_max",
         "three_replica_link", "unknown_op", "empty_op",
         "unhashable_op", "string_quiescence_flush", "string_delivery_time",
         "list_datatype", "misspelled_field", "list_recon",
-        "deliveries_with_partitions"])
+        "deliveries_with_partitions", "huge_workload_time", "huge_n",
+        "huge_delay_max", "huge_partition_end"])
 def test_run_bad_scenario_is_usage_error(capsys, tmp_path, where, value,
                                          named):
     doc = random_scenario(8, "bfs").to_dict()

@@ -14,11 +14,16 @@ def cmd(issuer, seq, tag="op"):
     return Command((tag, issuer, seq), issuer, seq)
 
 
+def past(dag, v):
+    """v's causal past, read from its mask."""
+    return set(dag.expand_mask(dag.past_masks()[v]))
+
+
 def test_insert_first_vertex():
     dag = CommandDag()
     v = cmd(1, 1)
     assert dag.insert(v, {EPSILON}) is None
-    assert dag.dist(v) == 1
+    assert level_key(dag, v)[0] == 1
     assert dag.leaves() == {v}
 
 
@@ -46,6 +51,7 @@ def test_rejected_insert_leaves_dag_unchanged(fig1_dag):
     leaves = fig1_dag.leaves()
     chains = {j: list(c) for j, c in fig1_dag.chains().items()}
     keys = [level_key(fig1_dag, c) for c in commands]
+    masks = dict(fig1_dag.past_masks())
     last = commands[-1]
     rejected = [(last, {EPSILON}, DuplicateVertex),
                 (cmd(9, 1), {last, cmd(9, 9)}, MissingParent),
@@ -57,7 +63,8 @@ def test_rejected_insert_leaves_dag_unchanged(fig1_dag):
         assert fig1_dag.commands() == commands
         assert fig1_dag.leaves() == leaves
         assert cmd(9, 1) not in fig1_dag
-        assert fig1_dag.all_mask() == (1 << len(commands)) - 1
+        assert len(fig1_dag) == len(commands)
+        assert fig1_dag.past_masks() == masks
         assert fig1_dag.chains() == chains
         assert [level_key(fig1_dag, c) for c in commands] == keys
         with pytest.raises(UnknownVertex):
@@ -67,7 +74,8 @@ def test_rejected_insert_leaves_dag_unchanged(fig1_dag):
     fig1_dag.insert(cmd(9, 1), {last})
     assert fig1_dag.commands() == commands + (cmd(9, 1),)
     assert fig1_dag.leaves() == (leaves - {last}) | {cmd(9, 1)}
-    assert fig1_dag.dist(cmd(9, 1)) == fig1_dag.dist(last) + 1
+    assert level_key(fig1_dag, cmd(9, 1))[0] == \
+        level_key(fig1_dag, last)[0] + 1
     assert fig1_dag.chains() == {**chains, 9: [cmd(9, 1)]}
 
 
@@ -98,35 +106,34 @@ def test_fig1_insert_distance(fig1_vertices):
     for u in (v["A"], v["B"], v["C"]):
         dag.insert(u, {EPSILON})
     dag.insert(v["E"], {v["A"], v["B"], v["C"]})
-    assert dag.dist(v["E"]) == 2
+    assert level_key(dag, v["E"])[0] == 2
     assert brute_dist(dag, v["E"]) == 2
 
 
 def test_fig1_past(fig1_dag, fig1_vertices):
     v = fig1_vertices
-    assert fig1_dag.past(v["A"]) == {v["A"]}
-    assert fig1_dag.past(v["E"]) == {v["A"], v["B"], v["C"], v["E"]}
-    assert fig1_dag.past(v["F"]) == {v["A"], v["B"], v["D"], v["F"]}
+    assert past(fig1_dag, v["A"]) == {v["A"]}
+    assert past(fig1_dag, v["E"]) == {v["A"], v["B"], v["C"], v["E"]}
+    assert past(fig1_dag, v["F"]) == {v["A"], v["B"], v["D"], v["F"]}
     for u in fig1_dag.commands():
-        assert fig1_dag.past(u) == brute_past(fig1_dag, u)
+        assert past(fig1_dag, u) == brute_past(fig1_dag, u)
 
 
 def test_fig1_dist(fig1_dag, fig1_vertices):
     v = fig1_vertices
-    assert fig1_dag.dist(EPSILON) == 0
-    assert fig1_dag.dist(v["E"]) == 2
-    assert fig1_dag.dist(v["G"]) == 3
+    assert level_key(fig1_dag, v["E"])[0] == 2
+    assert level_key(fig1_dag, v["G"])[0] == 3
     for u in (v["A"], v["B"], v["C"]):
-        assert fig1_dag.dist(u) == 1
+        assert level_key(fig1_dag, u)[0] == 1
     for u in fig1_dag.commands():
-        assert fig1_dag.dist(u) == brute_dist(fig1_dag, u)
+        assert level_key(fig1_dag, u)[0] == brute_dist(fig1_dag, u)
 
 
 def test_unknown_vertex(fig1_dag):
     with pytest.raises(UnknownVertex):
-        fig1_dag.past(cmd(9, 9))
+        level_key(fig1_dag, cmd(9, 9))
     with pytest.raises(UnknownVertex):
-        fig1_dag.dist(cmd(9, 9))
+        fig1_dag.parents_of(cmd(9, 9))
 
 
 def test_topo_sort_fig1_subsets(fig1_dag, fig1_vertices):
@@ -192,9 +199,9 @@ def test_distance_immutable_under_insertions():
         rebuilt = CommandDag()
         for v in dag.commands():
             rebuilt.insert(v, dag.parents_of(v))
-            recorded[v] = rebuilt.dist(v)
+            recorded[v] = level_key(rebuilt, v)[0]
         for v in dag.commands():
-            assert dag.dist(v) == recorded[v] == brute_dist(dag, v)
+            assert level_key(dag, v)[0] == recorded[v] == brute_dist(dag, v)
 
 
 def test_past_independent_of_insertion_interleaving():
@@ -215,8 +222,8 @@ def test_past_independent_of_insertion_interleaving():
                     inserted.add(v)
                     remaining.remove(v)
         for v in verts:
-            assert other.past(v) == dag.past(v)
-            assert other.dist(v) == dag.dist(v)
+            assert past(other, v) == past(dag, v) == brute_past(dag, v)
+            assert level_key(other, v) == level_key(dag, v)
 
 
 def test_expand_mask_matches_per_bit_scan():
@@ -230,7 +237,7 @@ def test_expand_mask_matches_per_bit_scan():
             mask = sum(1 << i for i in range(size) if rng.random() < density)
             expected = [c for i, c in enumerate(order) if (mask >> i) & 1]
             assert dag.expand_mask(mask) == expected
-        assert dag.expand_mask(dag.all_mask()) == list(order)
+        assert dag.expand_mask((1 << size) - 1) == list(order)
 
 
 def test_fixture_roundtrip(fig1_dag):

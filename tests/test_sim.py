@@ -172,6 +172,42 @@ def test_malformed_in_memory_scenario_is_a_config_error(field, value,
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("field, value", [
+    ("workload", [(10**4300, 1, ("push", 1))]),
+    ("seed", 10**4300),
+    ("workload", [(1, 1, ("push", 10**4300))]),
+    ("n", 10**18), ("delay_max", 10**18), ("snapshot_every", 10**18),
+    ("seed", -10**18), ("crashes", [(2, 10**18)]),
+    ("partitions", [Partition([(1, 2)], -10**18, 5)]),
+    ("deliveries", {(2, 1, 1): 10**18}),
+    ("deliveries", {(2, 1, 10**18): 5}),
+], ids=["time_past_digit_limit", "seed_past_digit_limit",
+        "op_past_digit_limit", "n", "delay_max", "snapshot_every", "seed",
+        "crash_time", "partition_start", "delivery_time", "delivery_key"])
+def test_integer_of_more_than_18_digits_is_a_config_error(field, value):
+    # one bound on every integer of a scenario; an int past the digit
+    # limit, which has no repr, is named, not printed
+    sc = Scenario(n=2, datatype="intlog", recon="bfs",
+                  workload=[(1, 1, ("push", 1))])
+    setattr(sc, field, value)
+    with pytest.raises(ConfigError, match="of more than 18 digits"):
+        run(sc)
+
+
+def test_integers_of_18_digits_run_and_check(tmp_path):
+    # delivery times past 18 digits are the sums of two bounded ints; the
+    # reader takes their lines through `json.loads`
+    big = 10**18 - 1
+    sc = Scenario(n=3, datatype="intlog", recon="bfs",
+                  workload=[(big - 5, 1, ("push", 1)), (big, 2, ("push", 2))],
+                  seed=-big, crashes=[(3, big)], delay_max=big,
+                  partitions=[Partition([(1, 2)], -big, big)])
+    path = tmp_path / "t.jsonl"
+    run(sc).to_jsonl(path)
+    verdicts = run_all_checks(Trace.from_jsonl(path))
+    assert verdicts == run_all_checks(run(sc)) and verdicts["ok"]
+
+
 def test_send_budget_bounds_replicas_and_commands():
     # n(n-1) channel sends per command; `_Sim` validates before it builds
     one = [(1, 1, ("push", 1))]

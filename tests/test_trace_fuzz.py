@@ -18,9 +18,10 @@ from dagrepl.scenarios import fig1_scenario, random_scenario
 from dagrepl.sim import run
 
 MUTANTS = 200           # per recorded trace
-# values of other types, and integers out of range, for `_retype`
+# values of other types, and integers out of range, for `_retype`; the
+# last has 4300 digits, the most `json.loads` takes
 ODD_VALUES = ("x", "", None, True, 1.5, -1, 0, 99, [], [1], [[1]],
-              {}, {"kind": "send"})
+              {}, {"kind": "send"}, int("9" * 4300))
 
 
 def _drop(rng, lines):
