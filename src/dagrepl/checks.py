@@ -87,12 +87,14 @@ class _Digest:
     It is the checkers' only reader of the meta and the raw events, which
     it reads as the trace's records (`Trace.records`), decoding each once,
     by kind: a `sends` record counts as the `send` events it expands
-    into, and a `send` event as one.  It requires the meta fields it reads
+    into, a `recv` record as those and its `deliver` and `insert` events,
+    and a `send` event as one.  It requires the meta fields it reads
     (`_META_FIELDS`), strictly increasing `t`s of at most 18 digits and
     well-formed fields, with each `keep` between 0 and the replica's
-    previous history length and a non-empty `to` list in a `sends` record,
-    raising ConfigError that names the offending field or event otherwise,
-    an event by its number among the expanded events, so the checkers
+    previous history length, a non-empty `to` list in a `sends` or `recv`
+    record and a `recv` record's `src` in 1..n, raising ConfigError that
+    names the offending field or event otherwise, an event by its number
+    among the expanded events, a record by its first, so the checkers
     trust what it records.  It also requires each replica in 1..n to be
     crashed or named by an event, so that a hostile n cannot size the
     checkers' work, and resolves the meta's reconciler name, raising
@@ -132,8 +134,21 @@ class _Digest:
         histories = defaultdict(list)       # rid -> current history
         members = defaultdict(set)          # rid -> the uids in it
         awaiting = defaultdict(list)        # rid -> appends since snapshot
-        # the events before the record, a `sends` record counting as its
-        # channel sends, so that messages number the events of schema 2
+
+        def replica(x):
+            rid = _int(x)
+            if not 1 <= rid <= self.n:
+                raise ValueError("replica %d is not in 1..%d" % (rid, self.n))
+            return rid
+
+        def insert(t, rid, vertex, parents):
+            self.ordered.append((t, 0, rid, vertex,
+                                 frozenset(map(_uid, parents))))
+            self.inserted[rid].setdefault(vertex, t)
+
+        # the events before the record, a `sends` or `recv` record counting
+        # as the events it expands into, so that messages number the events
+        # of schema 2
         pos = 0
         prev_t = None
         for rec in trace.records:
@@ -148,23 +163,23 @@ class _Digest:
                 if not -_INT_BOUND < t < _INT_BOUND:
                     raise ConfigError("trace event %d has a t of more than "
                                       "18 digits" % (pos + 1))
-                if kind == "sends":     # one fan-out: most channel sends
-                    to = rec["to"]
+                if kind == "sends" or kind == "recv":
+                    to = rec["to"]      # one fan-out: most channel sends
                     if type(to) is not list or not to:
                         raise ValueError("to %r is not a non-empty list"
                                          % (to,))
                     span = len(to)
-                    self.sends[_uid(rec["uid"])] += span
+                    uid = _uid(rec["uid"])
+                    self.sends[uid] += span
+                    if kind == "recv":  # then the deliver and the insert
+                        rid = replica(rec["src"])
+                        self.delivers[rid][uid] += 1
+                        span += 2
+                        insert(t + span - 1, rid, uid, rec["parents"])
                 elif kind in ("insert", "deliver", "history", "append"):
-                    rid = _int(rec["replica"])
-                    if not 1 <= rid <= self.n:
-                        raise ValueError("replica %d is not in 1..%d"
-                                         % (rid, self.n))
+                    rid = replica(rec["replica"])
                     if kind == "insert":
-                        vertex = _uid(rec["vertex"])
-                        self.ordered.append((t, 0, rid, vertex, frozenset(
-                            map(_uid, rec["parents"]))))
-                        self.inserted[rid].setdefault(vertex, t)
+                        insert(t, rid, _uid(rec["vertex"]), rec["parents"])
                     elif kind == "deliver":
                         self.delivers[rid][_uid(rec["uid"])] += 1
                     elif kind == "history":

@@ -13,14 +13,20 @@ and `add` the commands after it, so a snapshot costs the change, not the
 history.  `keep` below the previous length is a revocation.
 `full_histories` decodes the deltas back into full histories.  A trace
 file holds one compact, sorted-key JSON value per line, which the
-simulator writes as each event happens: a sends, deliver, insert, history,
-append or append_bottom line from a format with the encoder's bytes (an
-append's op text is encoded once, with its workload entry), a crash or
-partition line by the encoder.  A `sends` line (schema 3) is one fan-out
-of the broadcast layer: its n-1 channel sends as `[dst, deliver_at]`
-pairs in the order their delays are drawn, at the steps t, t+1, ....
-The checkers read a trace's records, its lines' JSON values; its events,
-with one `send` event per pair, as in schema 2, are built only when read.
+simulator writes as each event happens: a sends, recv, deliver, insert,
+history, append or append_bottom line from a format with the encoder's
+bytes (an append's op text is encoded once, with its workload entry), a
+crash or partition line by the encoder.  A `sends` line (since schema 3)
+is one fan-out of the broadcast layer: its n-1 channel sends as
+`[dst, deliver_at]` pairs in the order their delays are drawn, at the
+steps t, t+1, ....  A `recv` line (schema 4) is a replica's first receipt
+of a vertex that it inserts at once: its forward's `sends` line with the
+insert's parents, which also stands for the delivery and the insert at
+the two steps after the sends.  A receipt whose vertex is parked keeps a
+`sends` and a `deliver` line, and its later insert an `insert` line.  The
+checkers read a trace's records, its lines' JSON values; its events, one
+`send` event per pair and a `recv` line's deliver and insert, as in
+schema 2, are built only when read.
 The trace `run` returns is those lines; its records are parsed on first
 read by the reader of a file's lines after its meta, which takes any
 spacing that per-line `json.loads` takes and parses each run of lines of
@@ -146,7 +152,7 @@ _FROM_JSON = {
 }
 
 
-TRACE_SCHEMA = 3
+TRACE_SCHEMA = 4
 
 
 def _is_int(x):
@@ -181,13 +187,13 @@ def _value(where, number, line):
 
 def _read_lines(lines, where, number=0):
     """The records of the non-blank text lines `lines`, which follow line
-    `number` of `where`: each line's JSON value, a `sends` value kept
-    whole, each with one string per kind.  It takes and refuses exactly
-    the lines that per-line `json.loads` does, and refuses a malformed
-    `sends` line (`_checked_sends`), naming it.  A run of consecutive
-    template lines, at most `_RUN`, is parsed in one call, so that their
-    records share their key strings; any other line ends the run and is
-    parsed by itself."""
+    `number` of `where`: each line's JSON value, a `sends` or `recv` value
+    kept whole, each with one string per kind.  It takes and refuses
+    exactly the lines that per-line `json.loads` does, and refuses a
+    malformed `sends` or `recv` line (`_checked_sends`), naming it.  A run
+    of consecutive template lines, at most `_RUN`, is parsed in one call,
+    so that their records share their key strings; any other line ends the
+    run and is parsed by itself."""
     records, run = [], []
     template_line = _template_line()
 
@@ -208,7 +214,7 @@ def _read_lines(lines, where, number=0):
             value = _value(where, number, line)
             if type(value) is dict and type(value.get("kind")) is str:
                 value["kind"] = sys.intern(value["kind"])
-                if value["kind"] == "sends":
+                if value["kind"] in ("sends", "recv"):
                     _checked_sends(where, number, value)
             records.append(value)
     parse_run()
@@ -218,28 +224,40 @@ def _read_lines(lines, where, number=0):
 def _expand(records):
     """The events of the reader's `records`: each `sends` record replaced
     by its `send` events, the channel send of its i-th [dst, deliver_at]
-    pair at step t + i, which share the record's uid list.  It empties
-    `records` as it goes, so that a record is freed once it is expanded."""
+    pair at step t + i, which share the record's uid list, and each `recv`
+    record by its k `send` events, then the `deliver` and the `insert` of
+    its uid at its src, at steps t + k and t + k + 1, which share it too.
+    It empties `records` as it goes, so that a record is freed once it is
+    expanded."""
     events = []
     for i, ev in enumerate(records):
         records[i] = None
-        if type(ev) is not dict or ev.get("kind") != "sends":
+        kind = ev.get("kind") if type(ev) is dict else None
+        if kind != "sends" and kind != "recv":
             events.append(ev)
             continue
-        at, src, t, uid = ev["at"], ev["src"], ev["t"], ev["uid"]
+        at, src, t, to = ev["at"], ev["src"], ev["t"], ev["to"]
+        uid = ev["uid"]
         events += [{"at": at, "deliver_at": deliver_at, "dst": dst,
                     "kind": "send", "src": src, "t": t + k, "uid": uid}
-                   for k, (dst, deliver_at) in enumerate(ev["to"])]
+                   for k, (dst, deliver_at) in enumerate(to)]
+        if kind == "recv":
+            t += len(to)
+            events += ({"kind": "deliver", "replica": src, "t": t,
+                        "uid": uid},
+                       {"kind": "insert", "parents": ev["parents"],
+                        "replica": src, "t": t + 1, "vertex": uid})
     return events
 
 
 def _checked_sends(where, number, ev):
-    """Check the `sends` value of line `number` of `where`: ConfigError
-    names the line for a missing field, a `t` that is not an integer, a
-    `to` that is not a list of one or more [dst, deliver_at] lists, or a
-    `uid` that is not a 2-item list.  The simulator never writes an empty
-    `to`: a fan-out to no replica is no line, and a line takes one step
-    per pair."""
+    """Check the `sends` or `recv` value of line `number` of `where`:
+    ConfigError names the line for a missing field, a `t` that is not an
+    integer, a `to` that is not a list of one or more [dst, deliver_at]
+    lists, a `uid` that is not a 2-item list, or a `recv` value's
+    `parents` that is not a list of 2-item lists.  The simulator never
+    writes an empty `to`: a fan-out to no replica is no line, and a line
+    takes one step per pair."""
     try:
         t, to, uid = ev["t"], ev["to"], ev["uid"]
         if type(t) is not int:
@@ -253,9 +271,16 @@ def _checked_sends(where, number, ev):
         for key in ("at", "src"):       # `_expand` reads them too
             if key not in ev:
                 raise KeyError(key)
+        if ev["kind"] == "recv":
+            parents = ev["parents"]
+            if type(parents) is not list or any(
+                    type(p) is not list or len(p) != 2 for p in parents):
+                raise ValueError("parents %r is not a list of pairs"
+                                 % (parents,))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("%s: line %d is a malformed sends line: %s %s"
-                          % (where, number, type(exc).__name__, exc)) from None
+        raise ConfigError("%s: line %d is a malformed %s line: %s %s"
+                          % (where, number, ev["kind"], type(exc).__name__,
+                             exc)) from None
 
 
 # A line of one of the simulator's formats (`_SENDS`, ...) with canonical
@@ -265,7 +290,7 @@ def _checked_sends(where, number, ev):
 # run of such lines joined by commas is one JSON array of the lines'
 # values; the digit bound keeps that parse below the int digit limit.  The
 # pattern is compiled in every process that reads a trace, so the int
-# group, copied 42 times, is kept short: a lookahead for the leading zero,
+# group, copied 46 times, is kept short: a lookahead for the leading zero,
 # not an alternation.  It is compiled with re.ASCII, so that `\d` is a JSON
 # digit, not any Unicode decimal digit.
 _INT = r"(?!0\d)\d{1,18}"
@@ -283,8 +308,12 @@ _VALUE = r"(?:%s|\[(?:%s(?:,%s)*)?\])" % (_ATOM, _ATOM, _ATOM)
 def _template_line():
     """The `fullmatch` of such a line, compiled on first use."""
     formats = (_SENDS, _DELIVER, _INSERT, _HISTORY, _APPEND, _APPEND_BOTTOM)
+    # `_RECV` is `_SENDS` with another kind, so they share one pattern
+    sends = re.escape('"kind":"sends",')
+    kinds = "(?:%s|%s)" % (sends, re.escape(_RECV_KIND))
     return re.compile("(?:%s)\n?" % "|".join(
         re.escape(f.rstrip("\n"))
+        .replace(sends, kinds)
         .replace(re.escape('"to":[%s]'), '"to":' + _TO)
         .replace(re.escape("[%s]"), _PAIRS)
         .replace("%s", _VALUE)
@@ -296,13 +325,18 @@ def _template_line():
 _RUN = 1024
 
 
-# The lines of the simulator's sends, deliver, insert, history and append
-# events, all but a handful of a trace: `_encode`'s bytes for the values the
-# simulator owns.  `_SENDS`'s to is filled with "[dst,deliver_at]" items,
-# `_INSERT`'s parents and `_HISTORY`'s add with `_pairs`, `_APPEND`'s and
-# `_APPEND_BOTTOM`'s op and resp with `_encode`.
+# The lines of the simulator's sends, recv, deliver, insert, history and
+# append events, all but a handful of a trace: `_encode`'s bytes for the
+# values the simulator owns.  `_SENDS`'s and `_RECV`'s to is filled with
+# "[dst,deliver_at]" items, `_RECV`'s and `_INSERT`'s parents and
+# `_HISTORY`'s add with `_pairs`, `_APPEND`'s and `_APPEND_BOTTOM`'s op and
+# resp with `_encode`.
 _SENDS = ('{"at":%d,"kind":"sends","src":%d,"t":%d,"to":[%s],'
           '"uid":[%d,%d]}\n')
+# a first receipt's line when it inserts its vertex at once: its
+# forward's `sends` line with the parents of its insert
+_RECV_KIND = '"kind":"recv","parents":[%s],'
+_RECV = _SENDS.replace('"kind":"sends",', _RECV_KIND)
 _DELIVER = '{"kind":"deliver","replica":%d,"t":%d,"uid":[%d,%d]}\n'
 _INSERT = ('{"kind":"insert","parents":[%s],"replica":%d,"t":%d,'
            '"vertex":[%d,%d]}\n')
@@ -373,7 +407,7 @@ class Trace:
                         break
                 if type(meta) is not dict or "schema" not in meta:
                     raise ConfigError("not a trace file: %s" % path)
-                # 3.0 == 3, but a float schema is no writer's
+                # 4.0 == 4, but a float schema is no writer's
                 if type(meta["schema"]) is not int \
                         or meta["schema"] != TRACE_SCHEMA:
                     raise ConfigError("%s: trace schema %r, not %d; record "
@@ -543,6 +577,10 @@ class _Sim:
         # parent set -> its `_INSERT` text; the replicas insert a vertex
         # with the one set its message carries, so a text is formatted once
         self.parents_text = {}
+        # (t, to) of the forward of the first receipt at hand: its first
+        # step and its `to` text, written by the receipt's insert as a
+        # `recv` line, or by `_handle_recv` when the vertex is parked
+        self.held = None
 
     def _make_broadcast(self, rid):
         return lambda msg: self.rb.r_broadcast(rid, msg)
@@ -555,8 +593,16 @@ class _Sim:
                     [(p.issuer, p.seq) for p in parents
                      if isinstance(p, Command)]))
             self.step += 1
-            self.lines.append(_INSERT % (text, rid, self.step, v.issuer,
-                                         v.seq))
+            if self.held is None:
+                self.lines.append(_INSERT % (text, rid, self.step, v.issuer,
+                                             v.seq))
+                return
+            # the first insert of a first receipt is of its own vertex: the
+            # receipt's forward, delivery and insert are one line
+            t, to = self.held
+            self.held = None
+            self.lines.append(_RECV % (self.now, text, rid, t, to, v.issuer,
+                                       v.seq))
         return hook
 
     # --- event plumbing ------------------------------------------------
@@ -618,7 +664,8 @@ class _Sim:
 
     def _send(self, src, dsts, msg):
         """One fan-out: a channel send to each of `dsts`, a step each, all
-        on one `sends` line."""
+        on one `sends` line.  A forward, a replica's fan-out on its first
+        receipt of another's vertex, is held for the receipt's lines."""
         if not dsts:            # n = 1: no fan-out, no line
             return
         v = msg.vertex
@@ -634,14 +681,17 @@ class _Sim:
             # scheduled
             if v not in self.replicas[dst].dag:
                 self._push(at, self._handle_recv, src, dst, msg)
-        self.lines.append(_SENDS % (self.now, src, self.step + 1,
-                                    ",".join(to), v.issuer, v.seq))
+        # an issuer broadcasts its own vertex; every other fan-out forwards
+        if src == v.issuer:
+            self.lines.append(_SENDS % (self.now, src, self.step + 1,
+                                        ",".join(to), v.issuer, v.seq))
+        else:
+            self.held = (self.step + 1, ",".join(to))
         self.step += len(to)
 
     def _rb_deliver(self, rid, msg):
+        # the delivery's step; its line is written with the held forward
         self.step += 1
-        self.lines.append(_DELIVER % (rid, self.step, msg.vertex.issuer,
-                                      msg.vertex.seq))
         self.replicas[rid].on_deliver(msg)
 
     # --- handlers ---------------------------------------------------------
@@ -672,6 +722,14 @@ class _Sim:
         dag = self.replicas[dst].dag
         before = len(dag)
         self.rb.on_receive(dst, msg)
+        if self.held is not None:
+            # a first receipt that parked its vertex: its forward and its
+            # delivery, whose step is the last one taken
+            t, to = self.held
+            self.held = None
+            v = msg.vertex
+            self.lines += (_SENDS % (self.now, dst, t, to, v.issuer, v.seq),
+                           _DELIVER % (dst, self.step, v.issuer, v.seq))
         if len(dag) != before:
             self._snapshot(dst)
 

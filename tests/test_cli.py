@@ -195,6 +195,14 @@ def _insert_outside_replicas(path):
     _edit_events(path, edit)
 
 
+def _recv_outside_replicas(path):
+    # a recv line's src is the replica of its deliver and its insert
+    def edit(events):
+        _first(events, "recv")["src"] = 4
+    _edit_events(path, edit)
+    return "replica 4 is not in 1..3"
+
+
 def _history_outside_replicas(path):
     def edit(events):
         _first(events, "history")["replica"] = 0
@@ -242,9 +250,15 @@ def _schema_2(path):
     return "record the trace again"
 
 
+def _schema_3(path):
+    # schema 3 wrote a first receipt as sends, deliver and insert lines
+    _edit_meta(path, lambda meta: meta.update(schema=3))
+    return "record the trace again"
+
+
 def _schema_float(path):
-    # 3.0 == 3, but no writer writes a float schema
-    _edit_meta(path, lambda meta: meta.update(schema=3.0))
+    # 4.0 == 4, but no writer writes a float schema
+    _edit_meta(path, lambda meta: meta.update(schema=4.0))
     return "record the trace again"
 
 
@@ -297,6 +311,7 @@ def _unknown_kind(path):
                                    _bogus_recon, _unknown_parent,
                                    _repeated_insert,
                                    _insert_outside_replicas,
+                                   _recv_outside_replicas,
                                    _history_outside_replicas,
                                    _no_kind, _short_vertex,
                                    _late_first_insert, _send_without_t,
@@ -304,7 +319,7 @@ def _unknown_kind(path):
                                    _append_without_seq, _unknown_kind,
                                    _string_n, _integer_crashed, _list_recon,
                                    _string_quiescent, _schema_1, _schema_2,
-                                   _schema_float,
+                                   _schema_3, _schema_float,
                                    _string_keep, _negative_keep,
                                    _keep_above_previous,
                                    _history_without_delta,
@@ -319,18 +334,20 @@ def test_check_bad_trace_is_usage_error(capsys, tmp_path, spoil):
 
 
 def test_other_schema_is_refused_before_its_body(capsys, tmp_path):
-    # the meta is read first: a schema-2 trace is refused for its schema,
-    # not for a later line that is not JSON
-    path = _fig1_trace(tmp_path)
-    _edit_meta(path, lambda meta: meta.update(schema=2))
-    lines = path.read_text().splitlines()
-    lines[1] = lines[1][:20]
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["check", "--trace", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "record the trace again" in err, err
-    assert re.search(r"line \d", err) is None, err
+    # the meta is read first: a schema-2 or schema-3 trace is refused for
+    # its schema, not for a later line that is not JSON
+    for schema in (2, 3):
+        path = _fig1_trace(tmp_path)
+        _edit_meta(path, lambda meta: meta.update(schema=schema))
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:20]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "trace schema %d, not 4" % schema in err, err
+        assert "record the trace again" in err, err
+        assert re.search(r"line \d", err) is None, err
 
 
 @pytest.mark.parametrize("line", [
@@ -395,6 +412,30 @@ def test_hostile_sends_line_is_usage_error_naming_it(capsys, tmp_path, edit):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "line %d is a malformed sends line" % number in err, err
+
+
+@pytest.mark.parametrize("edit", [
+    {"parents": None}, {"parents": "x"}, {"parents": [1]},
+    {"parents": [[1]]}, {"parents": [[1, 1], [2, 1, 1]]}, {"to": []},
+    {"uid": [1]}, {"src": None}, {"t": 1.5},
+], ids=lambda edit: "%s=%s" % next(iter(edit.items())))
+def test_hostile_recv_line_is_usage_error_naming_it(capsys, tmp_path, edit):
+    # a recv line is checked as a sends line, and its parents as a list of
+    # pairs; a field given as None is left out
+    path = _fig1_trace(tmp_path)
+    lines = path.read_text().splitlines()
+    number = next(i for i, line in enumerate(lines, 1)
+                  if '"kind":"recv"' in line)
+    ev = json.loads(lines[number - 1])
+    ev.update(edit)
+    lines[number - 1] = json.dumps({k: v for k, v in ev.items()
+                                    if v is not None})
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "line %d is a malformed recv line" % number in err, err
 
 
 def _repeat_kept_command(path):

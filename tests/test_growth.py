@@ -119,7 +119,9 @@ def _trace_bytes_per_command(tmp_path, n, commands=600):
 # of n-1, and the trace writes a fan-out as one line, so that a command's
 # lines grow linearly with n.  The O(n^2) term left is one `[dst,at]` pair,
 # about 8 bytes, per channel send.  From n = 3 to 6 the bytes per command
-# grow x2.07, from 799 to 1652; a line per channel send gave x3.31 (1043 to
+# grow x1.87, from 605 to 1133, with a first receipt's forward, delivery
+# and insert on one line; with the three on lines of their own it was
+# x2.07 (799 to 1652), and a line per channel send gave x3.31 (1043 to
 # 3449), which fails.  The two runs take about 0.15 s.
 def test_trace_bytes_per_command_grow_about_linearly_in_n(tmp_path):
     small = _trace_bytes_per_command(tmp_path, 3)

@@ -245,7 +245,7 @@ def test_trace_jsonl_roundtrip(tmp_path):
     assert again.events == trace.events
     with open(path) as fh:
         first = json.loads(fh.readline())
-    assert first["schema"] == 3
+    assert first["schema"] == 4
 
 
 def test_trace_from_jsonl_rejects_non_trace(tmp_path):
@@ -357,30 +357,43 @@ def _read(path):
 
 
 def _expanded(values):
-    """Per-line values with each `sends` value replaced by its `send`
-    events, as schema 2 wrote them: the i-th [dst, deliver_at] pair at
-    step t + i."""
+    """Per-line values with each `sends` or `recv` value replaced by its
+    events, as schema 2 wrote them: the i-th [dst, deliver_at] pair a
+    `send` at step t + i, and after a `recv` value's k pairs the deliver
+    and the insert of its uid at its src, at steps t + k and t + k + 1."""
     events = []
     for v in values:
-        if not (isinstance(v, dict) and v.get("kind") == "sends"):
+        kind = v.get("kind") if isinstance(v, dict) else None
+        if kind not in ("sends", "recv"):
             events.append(v)
             continue
         for i, (dst, deliver_at) in enumerate(v["to"]):
             events.append({"at": v["at"], "deliver_at": deliver_at,
                            "dst": dst, "kind": "send", "src": v["src"],
                            "t": v["t"] + i, "uid": v["uid"]})
+        if kind == "recv":
+            t = v["t"] + len(v["to"])
+            events.append({"kind": "deliver", "replica": v["src"], "t": t,
+                           "uid": v["uid"]})
+            events.append({"kind": "insert", "parents": v["parents"],
+                           "replica": v["src"], "t": t + 1,
+                           "vertex": v["uid"]})
     return events
 
 
 def _well_formed_sends(v):
-    """Whether `sends` value `v` has what its expansion needs: an integer
-    `t`, one or more [dst, deliver_at] lists in `to`, a 2-item `uid`
-    list, an `at` and a `src`."""
-    to, uid = v.get("to"), v.get("uid")
+    """Whether `sends` or `recv` value `v` has what its expansion needs:
+    an integer `t`, one or more [dst, deliver_at] lists in `to`, a 2-item
+    `uid` list, an `at`, a `src` and, in a `recv` value, a list of 2-item
+    lists in `parents`."""
+    to, uid, parents = v.get("to"), v.get("uid"), v.get("parents")
     return (type(v.get("t")) is int and "at" in v and "src" in v
             and isinstance(to, list) and len(to) > 0
             and all(isinstance(p, list) and len(p) == 2 for p in to)
-            and isinstance(uid, list) and len(uid) == 2)
+            and isinstance(uid, list) and len(uid) == 2
+            and (v["kind"] == "sends" or isinstance(parents, list)
+                 and all(isinstance(p, list) and len(p) == 2
+                         for p in parents)))
 
 
 # lines the writer makes from its deliver and append templates
@@ -466,7 +479,7 @@ def test_reader_matches_per_line_json_loads_on_traces(tmp_path, name,
                                                        recon):
     # template lines are parsed in runs, every other line by itself; the
     # result is per-line json.loads on the file as written, with CRLF line
-    # ends and re-spaced, with each sends line expanded
+    # ends and re-spaced, with each sends and recv line expanded
     path = tmp_path / "t.jsonl"
     run(BUILTIN[name](2, recon)).to_jsonl(path)
     for copy in (path, _crlf(path, tmp_path), _respaced(path, tmp_path)):
@@ -547,7 +560,7 @@ def _writer_scenarios():
 
 def test_written_lines_are_the_encoder_lines(tmp_path):
     path = tmp_path / "t.jsonl"
-    formatted = {"sends", "deliver", "insert", "history"}
+    formatted = {"sends", "recv", "deliver", "insert", "history"}
     appends = {"append", "append_bottom"}
     templated = set()
     for sc in _writer_scenarios():
@@ -560,7 +573,7 @@ def test_written_lines_are_the_encoder_lines(tmp_path):
         # one line per fan-out to the n-1 other replicas, and its send
         # events are the trace's
         assert all(len(v["to"]) == sc.n - 1 for v in values
-                   if v["kind"] == "sends"), sc.name
+                   if v["kind"] in ("sends", "recv")), sc.name
         assert _expanded(values) == trace.events \
             == Trace.from_jsonl(path).events, sc.name
         # the reader's grammar takes every line of the simulator's own
@@ -573,7 +586,10 @@ def test_written_lines_are_the_encoder_lines(tmp_path):
                 assert sim._template_line()(line), line
                 templated.add(v["kind"])
             kinds.add(v["kind"])
-        assert formatted <= kinds and "send" not in kinds, sc.name
+        # a deliver line is a parked receipt's, which not every run has;
+        # the runs together have them, as `templated` shows below
+        assert formatted - {"deliver"} <= kinds, sc.name
+        assert "send" not in kinds, sc.name
     assert templated == formatted | appends
 
 
@@ -628,12 +644,16 @@ def test_template_lines_match_the_encoder_on_odd_events(tmp_path):
     run(random_scenario(0, "bfs")).to_jsonl(path)
     values = _per_line_json_loads(path)[1:]
     samples = []
-    for kind in ("sends", "deliver", "insert", "history"):
+    for kind in ("sends", "deliver", "insert", "history", "recv"):
         samples.append(next(v for v in values if v["kind"] == kind))
-    sends = samples[0]
-    assert len(sends["to"]) == 4                # n - 1 pairs
+    sends, recv = samples[0], samples[4]
+    assert len(sends["to"]) == len(recv["to"]) == 4     # n - 1 pairs
     samples.append({**sends, "to": sends["to"][:1]})
     samples.append({**sends, "to": [sends["to"][0], [2, None]]})
+    samples.append({**recv, "to": [recv["to"][0], [2, None]]})
+    samples.append(next(v for v in values
+                        if v["kind"] == "recv" and len(v["parents"]) > 1))
+    samples.append({**recv, "parents": []})
     samples.append(next(v for v in values
                         if v["kind"] == "insert" and len(v["parents"]) > 1))
     samples.append({**samples[2], "parents": []})
@@ -655,17 +675,18 @@ def test_template_lines_match_the_encoder_on_odd_events(tmp_path):
             except TypeError:   # keys that do not sort, or a bytes kind
                 pass
     assert len(lines) > 500
-    # a sends line the reader cannot expand is refused, naming it
+    # a sends or recv line the reader cannot expand is refused, naming it
     kept = []
     for line in lines:
         v = json.loads(line)
-        if v.get("kind") != "sends" or _well_formed_sends(v):
+        if v.get("kind") not in ("sends", "recv") or _well_formed_sends(v):
             kept.append(line)
             continue
         path.write_text(line + "\n")
-        with pytest.raises(ConfigError, match="line 1 is a malformed sends"):
+        with pytest.raises(ConfigError, match="line 1 is a malformed %s "
+                           % v["kind"]):
             _read(path)
-    assert len(lines) - len(kept) > 50
+    assert len(lines) - len(kept) > 100
     # the reader takes the encoder's other odd lines, some in the template
     # form and most not, as per-line json.loads does, and expands them
     path.write_text("".join(line + "\n" for line in kept))
@@ -674,8 +695,8 @@ def test_template_lines_match_the_encoder_on_odd_events(tmp_path):
 
 class _EveryReceipt(sim._Sim):
     """The simulator that schedules every channel receipt, also of a
-    vertex the destination already holds, and writes its sends lines
-    through the encoder."""
+    vertex the destination already holds, and writes its issuers' sends
+    lines and the `to` text of its forwards through the encoder."""
 
     def _send(self, src, dsts, msg):
         to = []
@@ -684,6 +705,10 @@ class _EveryReceipt(sim._Sim):
             to.append([dst, at])
             if at is not None:
                 self._push(at, self._handle_recv, src, dst, msg)
+        if src != msg.vertex.issuer:    # held for the receipt's lines
+            self.held = (self.step + 1, sim._encode(to)[1:-1])
+            self.step += len(to)
+            return
         self._emit({"kind": "sends", "src": src, "to": to,
                     "uid": [msg.vertex.issuer, msg.vertex.seq],
                     "at": self.now})

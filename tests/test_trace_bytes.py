@@ -5,8 +5,9 @@ The simulator formats its own trace lines; the digests hold those formats
 to the same bytes on every supported Python.  A second table pins the
 events: each trace rendered as schema 2 wrote it, a line per event, one
 `send` line per channel send.  Schema 3 wrote each fan-out as one `sends`
-line and left the events as they were, so that table is schema 2's own.
-A change that alters the trace on purpose re-records both:
+line, and schema 4 a first receipt that inserts its vertex at once as one
+`recv` line; both left the events as they were, so that table is schema
+2's own.  A change that alters the trace on purpose re-records both:
 
     PYTHONPATH=src python tests/test_trace_bytes.py
 """
@@ -24,7 +25,7 @@ from dagrepl.scenarios import continuous_scenario, fig1_scenario, \
 from dagrepl.sim import Scenario, Trace, _encode, run
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-FIXTURE = FIXTURES / "trace_sha256_schema3.json"
+FIXTURE = FIXTURES / "trace_sha256_schema4.json"
 EVENTS_FIXTURE = FIXTURES / "trace_sha256.json"     # the schema 2 rendering
 
 
@@ -52,7 +53,8 @@ def _digests(directory):
     for name, sc in _scenarios():
         run(sc).to_jsonl(path)
         data = path.read_bytes()
-        assert b'"kind":"sends"' in data and b'"kind":"send"' not in data
+        assert b'"kind":"sends"' in data and b'"kind":"recv"' in data
+        assert b'"kind":"send"' not in data
         if name.endswith("no-flush"):
             assert b',null]' in data
         if name == "nfs_bottoms":
@@ -84,6 +86,28 @@ def test_events_are_schema_2s_events():
     # the send events that a run's sends lines expand into, and every
     # other event, are byte for byte the lines schema 2 wrote
     assert _schema_2_digests() == json.loads(EVENTS_FIXTURE.read_text())
+
+
+def test_first_receipts_are_one_line_unless_parked(tmp_path):
+    # a first receipt whose vertex is inserted at once is one recv line; a
+    # parked one keeps its sends and deliver lines, and the insert that
+    # unparks it comes later, never on the line after the deliver
+    path = tmp_path / "t.jsonl"
+    merged = parked = 0
+    for name, sc in _scenarios():
+        trace = run(sc)
+        trace.to_jsonl(path)
+        with open(path, encoding="utf-8") as fh:
+            values = [json.loads(line) for line in fh][1:]
+        for v, after in zip(values, values[1:]):
+            if v["kind"] == "deliver":
+                assert not (after["kind"] == "insert"
+                            and after["replica"] == v["replica"]
+                            and after["vertex"] == v["uid"]), (name, v)
+        merged += sum(v["kind"] == "recv" for v in values)
+        parked += sum(v["kind"] == "deliver" for v in values)
+        assert Trace.from_jsonl(path).events == trace.events, name
+    assert (merged, parked) == (12080, 922)
 
 
 def test_a_read_trace_writes_its_file_back(tmp_path):

@@ -1,11 +1,12 @@
 """A seeded trace fuzzer: mutants of recorded traces never crash `check`.
 
 Each mutant of a recorded `fig1` trace and of a small `random` trace has
-lines dropped, duplicated or swapped, a field retyped, a byte corrupted
-or the file cut; half of them get their `t`s renumbered so that moved
-lines reach the checkers.  `dagrepl check` must give a verdict (exit 0
-or 1) or reject the file with exit 2 and an `error:` line; an exception
-escaping `main` fails the test.
+lines dropped, duplicated or swapped, a field retyped, a `recv` line
+split into the lines it stands for or its `src` or `parents` spoiled, a
+byte corrupted or the file cut; half of them get their `t`s renumbered so
+that moved lines reach the checkers.  `dagrepl check` must give a verdict
+(exit 0 or 1) or reject the file with exit 2 and an `error:` line; an
+exception escaping `main` fails the test.
 """
 
 import json
@@ -56,21 +57,52 @@ def _retype(rng, lines):
     lines[i] = json.dumps(doc)
 
 
-MUTATIONS = (_drop, _duplicate, _swap, _retype)
+def _recv(rng, lines):
+    """Write one `recv` line as the `sends`, `deliver` and `insert` lines
+    it stands for, or give its `src` or `parents` another value: one of
+    another type, a replica out of range, or parents that are not pairs."""
+    docs = [json.loads(line) for line in lines]
+    recvs = [i for i, doc in enumerate(docs)
+             if isinstance(doc, dict) and doc.get("kind") == "recv"]
+    if not recvs:
+        return
+    i = rng.choice(recvs)
+    doc = docs[i]
+    to, t = doc.get("to"), doc.get("t")
+    if rng.random() < 0.5 and isinstance(to, list) and type(t) is int:
+        sends = {k: v for k, v in doc.items() if k != "parents"}
+        sends["kind"] = "sends"
+        src, uid = doc.get("src"), doc.get("uid")
+        lines[i:i + 1] = map(json.dumps, (
+            sends,
+            {"kind": "deliver", "replica": src, "t": t + len(to),
+             "uid": uid},
+            {"kind": "insert", "parents": doc.get("parents"),
+             "replica": src, "t": t + len(to) + 1, "vertex": uid}))
+        return
+    key = rng.choice(("src", "parents"))
+    doc[key] = rng.choice(ODD_VALUES + (6, [[1, 1, 1]], [[1, 1], [2]]))
+    lines[i] = json.dumps(doc)
+
+
+MUTATIONS = (_drop, _duplicate, _swap, _retype, _recv)
 
 
 def _renumber(lines):
     """Number the integer `t`s of the event lines 1, 2, ... again, so that
     a mutant with moved lines gets past the reader to the checkers.  A
-    `sends` line with a non-empty `to` list takes a step per item."""
+    `sends` line with a non-empty `to` list takes a step per item, and a
+    `recv` line with one takes two steps more."""
     t = 0
     for i, line in enumerate(lines[1:], 1):
         ev = json.loads(line)
         if isinstance(ev, dict) and type(ev.get("t")) is int:
             ev["t"] = t + 1
-            to = ev.get("to")
-            sends = ev.get("kind") == "sends" and isinstance(to, list)
-            t += len(to) if sends and to else 1
+            to, kind = ev.get("to"), ev.get("kind")
+            if kind in ("sends", "recv") and isinstance(to, list) and to:
+                t += len(to) + (kind == "recv") * 2
+            else:
+                t += 1
             lines[i] = json.dumps(ev)
 
 
